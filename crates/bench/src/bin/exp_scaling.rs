@@ -5,7 +5,12 @@
 //! agents, thousands of clients) for each thread count. This harness
 //! builds a scaled-up rig — one data center with 32 servers per tier and
 //! sixteen concurrent series streams — and reports wall time plus
-//! speedup vs. one thread for both mechanisms.
+//! speedup vs. one thread for both mechanisms. Like the paper's engine,
+//! the rig ticks every agent every step (`set_always_tick`): with the
+//! active-set fast path the indexed phase sees only the few busy agents
+//! and dispatch has nothing to parallelize. Each thread count runs
+//! `TRIALS` times, interleaved across counts so host drift hits every
+//! count alike; the tables report the median and the min–max spread.
 //!
 //! The claim is the *shape*: classic Scatter-Gather pays a queue
 //! round-trip per agent per signal, so adding threads does not help (the
@@ -32,6 +37,7 @@ const THREADS: [usize; 5] = [1, 2, 4, 8, 16];
 const AGENT_SET: usize = 64;
 const SLICE_SECS: u64 = 60;
 const STREAMS: u64 = 16;
+const TRIALS: usize = 5;
 
 fn scaling_topology() -> TopologySpec {
     let tier = |kind| TierSpec {
@@ -68,6 +74,7 @@ fn run_with(executor: Executor) -> f64 {
     let mut config = SimulationConfig::validation();
     config.executor = executor;
     let mut sim = Simulation::new(infra, vec!["NA".into()], config);
+    sim.set_always_tick(true);
     sim.set_master_policy(MasterPolicy::Local);
     let rc = rates::lab_rate_card();
     for i in 0..STREAMS {
@@ -93,10 +100,17 @@ fn main() {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     );
     println!(
-        "  rig: 128 servers (~650 agents), {STREAMS} series streams, {SLICE_SECS} simulated seconds"
+        "  rig: 128 servers (~650 agents, all ticked every step), {STREAMS} series streams, \
+         {SLICE_SECS} simulated seconds, median of {TRIALS} interleaved trials"
     );
 
-    let headers = vec!["# of Threads", "Sim time (s)", "Speedup (x)"];
+    let headers = vec![
+        "# of Threads",
+        "Sim time (s)",
+        "Speedup (x)",
+        "Min (s)",
+        "Max (s)",
+    ];
     for (name, file, make) in [
         (
             "Table 4.1 — classic Scatter-Gather",
@@ -121,19 +135,31 @@ fn main() {
             }) as fn(usize) -> Executor,
         ),
     ] {
-        let mut rows = Vec::new();
-        let mut base = 0.0;
-        for &threads in &THREADS {
-            let t = run_with(make(threads));
-            if threads == 1 {
-                base = t;
+        let mut trials = vec![Vec::with_capacity(TRIALS); THREADS.len()];
+        for _ in 0..TRIALS {
+            for (times, &threads) in trials.iter_mut().zip(&THREADS) {
+                times.push(run_with(make(threads)));
             }
-            rows.push(vec![
-                threads.to_string(),
-                format!("{t:.3}"),
-                format!("{:.2}", base / t),
-            ]);
         }
+        let median = |times: &mut Vec<f64>| {
+            times.sort_by(f64::total_cmp);
+            times[times.len() / 2]
+        };
+        let base = median(&mut trials[0]);
+        let rows: Vec<Vec<String>> = THREADS
+            .iter()
+            .zip(&mut trials)
+            .map(|(threads, times)| {
+                let t = median(times);
+                vec![
+                    threads.to_string(),
+                    format!("{t:.3}"),
+                    format!("{:.2}", base / t),
+                    format!("{:.3}", times[0]),
+                    format!("{:.3}", times[times.len() - 1]),
+                ]
+            })
+            .collect();
         print_table(name, &headers, &rows);
         write_csv(file, &headers, &rows);
     }

@@ -1,38 +1,38 @@
-//! Event-indexed step loop: timer-wheel gating vs. per-step polling.
+//! Event-indexed step loop: next-due gating vs. per-step polling.
 //!
-//! Three workload shapes bracket the wheel's effect:
+//! Four workload shapes bracket the gates' effect:
 //!
 //! * **sparse-series** — an idle-heavy lab: hundreds of periodic series
 //!   sources with multi-second intervals on the downscaled validation
 //!   topology. Almost every 10 ms step has *nothing* due, so the
 //!   polling loop's per-step sweep over all sources (plus the empty
-//!   retry/timeout/fault checks) dominates; the wheel skips all of it.
+//!   retry/timeout/fault checks) dominates; the gates skip all of it.
 //! * **consolidated** — the saturated six-continent case study: diurnal
 //!   Poisson samplers must draw every step regardless (their RNG stream
-//!   is part of the result), so the wheel can only gate the remaining
+//!   is part of the result), so the gates can only skip the remaining
 //!   classes and must at worst break even.
 //! * **faulted-churn** — the faulted topology under repeated link flaps
 //!   with short-timeout retries and `InFlightPolicy::Drop`: the
-//!   cancellation-heavy "normal failure" load where every completion or
-//!   failure retires the attempt's timeout gate. Its `cancelled` column
-//!   is the generation-counter protocol's visible footprint.
+//!   "normal failure" load where every completion or failure leaves a
+//!   dead timeout entry behind. Its `noop` column must stay 0: the
+//!   timeout gate is refreshed from the live heap head every time.
 //! * **churned** — the churned scenario under a hot stochastic churn
 //!   model (every server failing about every two minutes) with the full
 //!   resilience bundle (hedging, breakers, shedding): the worst case
-//!   for the two new event classes, with Churn and Hedges gates arming
-//!   and cancelling continuously.
+//!   for the Churn and Hedges event classes, whose gates move
+//!   continuously.
 //!
 //! All modes are bit-for-bit identical simulations (pinned by
 //! tests/wheel_equivalence.rs and tests/wheel_cancellation.rs), so this
 //! is a pure cost comparison. *Before* is the seed's dense loop — every
 //! source polled, every agent ticked, every step (`always_poll` +
-//! `always_tick`); *after* is the event-indexed default (wheel-gated
-//! drains over the active set). Alongside the table and CSV, a
+//! `always_tick`); *after* is the event-indexed default (gated drains
+//! over the active set). Alongside the table and CSV, a
 //! machine-readable `results/BENCH_step_loop.json` records wall-ms per
 //! simulated second for both loops per scenario × executor.
 //!
 //! A second table covers the **sharded engine** (one shard per DC with
-//! conservative WAN lookahead, DESIGN.md §4.6): serial wheel-mode vs
+//! conservative WAN lookahead, DESIGN.md §4.6): serial gated mode vs
 //! `ShardedSimulation` at several shard × worker combinations, with the
 //! cross-shard mailbox volume alongside. Those rows land in the
 //! `"sharded"` key of `results/BENCH_step_loop.json` and in
@@ -54,11 +54,11 @@
 //!
 //! `--check` runs the CI smoke assertions instead of the timed
 //! benchmark: stale-gate no-op drains on the consolidated run must stay
-//! within 10% of their pre-cancellation baseline, Scatter-Gather's
-//! indexed dispatch must stay range-batched (not one item per agent),
-//! the fault-plan churn scenario must actually cancel gates, the
+//! within 10% of their old baseline, Scatter-Gather's indexed dispatch
+//! must stay range-batched (not one item per agent), the fault-plan and
+//! stochastic churn runs must wake no drain on a stale gate, the
 //! stochastic churn run must apply incidents while keeping its Churn
-//! drains wheel-gated, and the sharded consolidated run must exchange
+//! drains gated, and the sharded consolidated run must exchange
 //! mailbox traffic with **zero** ordering violations (sequence gaps).
 //! On hosts with at least 4 cores the sharded run must also beat the
 //! serial engine by ≥ 1.5×; on smaller hosts the measured ratio is
@@ -86,14 +86,14 @@ use std::time::Instant;
 const SPARSE_SOURCES: u64 = 1024;
 
 /// CI budget for stale-gate no-op drains on the consolidated 30 sim-s
-/// run: 10% of the pre-cancellation baseline of 2902 (the PR 5
-/// measurement that motivated generation-counter cancellation).
+/// run: 10% of the baseline of 2902 measured before stale gates were
+/// eliminated.
 const NOOP_BUDGET: u64 = 290;
 
 /// An idle-heavy lab: many long-interval series on the small validation
 /// topology. With 30–90 s intervals against a 10 ms step, far fewer
 /// than 1% of steps launch anything — but the polling loop still sweeps
-/// every source every step, while the wheel visits only due ones.
+/// every source every step, while the gates visit only due ones.
 fn build_sparse(seed: u64) -> Simulation {
     let spec = validation::downscaled_topology();
     let infra = Infrastructure::build(&spec, seed).expect("valid downscaled topology");
@@ -115,7 +115,7 @@ fn build_sparse(seed: u64) -> Simulation {
     sim
 }
 
-/// The faulted scenario under cancellation churn: six fail/recover
+/// The faulted scenario under timer churn: six fail/recover
 /// cycles of the primary link, short per-attempt timeouts, retries, and
 /// silently dropped in-flight work (see tests/wheel_cancellation.rs for
 /// the equivalence pin of this exact shape).
@@ -213,7 +213,7 @@ const CASES: [Case; 4] = [
     },
 ];
 
-/// Wheel-gating profile of one run: how phase 1 actually spent its
+/// Gating profile of one run: how phase 1 actually spent its
 /// drain opportunities, plus mean active-set occupancy. Collected from
 /// a dedicated profiled run (serial, un-timed) so the timed reps stay
 /// instrumentation-free; drain counts are executor-independent because
@@ -223,7 +223,6 @@ struct Gating {
     gated: u64,
     polled: u64,
     noop: u64,
-    cancelled: u64,
     active_mean: f64,
 }
 
@@ -238,7 +237,6 @@ fn gating_stats(build: fn(u64) -> Simulation, horizon_secs: u64, poll: bool) -> 
         gated: 0,
         polled: 0,
         noop: 0,
-        cancelled: 0,
         active_mean: p.occupancy_mean,
     };
     for (_, d) in &p.drains {
@@ -246,7 +244,6 @@ fn gating_stats(build: fn(u64) -> Simulation, horizon_secs: u64, poll: bool) -> 
         g.gated += d.gated;
         g.polled += d.polled;
         g.noop += d.noop;
-        g.cancelled += d.cancelled;
     }
     g
 }
@@ -259,7 +256,7 @@ fn gating_stats(build: fn(u64) -> Simulation, horizon_secs: u64, poll: bool) -> 
 /// `dense` selects the *before* loop: every phase-1 source polled and
 /// every agent ticked every step (`always_poll` + `always_tick`, the
 /// seed loop all the event-indexed machinery replaced). The *after*
-/// loop is the default: wheel-gated drains over the active set.
+/// loop is the default: gated drains over the active set.
 fn measure(
     build: fn(u64) -> Simulation,
     executor: &Executor,
@@ -283,7 +280,7 @@ fn measure(
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Best-of-reps wall ms for one serial wheel-mode run through the
+/// Best-of-reps wall ms for one serial gated-mode run through the
 /// CLI's *robust driver loop*: chunked `run_until` under panic
 /// supervision, with the paranoid auditor and periodic atomic
 /// checkpoint writes individually toggled. With both features off this
@@ -329,7 +326,7 @@ fn measure_robust(
     best
 }
 
-/// Best-of-reps wall ms for one serial wheel-mode run with causal
+/// Best-of-reps wall ms for one serial gated-mode run with causal
 /// operation tracing enabled at `rate` (`None` leaves it off — the
 /// untraced baseline). The sampler decides once per operation at
 /// launch, so a low rate skips the span bookkeeping for almost every
@@ -405,13 +402,12 @@ const SHARDED_CASES: [ShardedCase; 4] = [
 /// CI smoke assertions (`--check`): fast, deterministic, no timing.
 fn check() {
     // 1. Stale-gate no-op drains on the consolidated run must stay
-    //    ≤ 10% of the pre-cancellation baseline (2902). Polled site
-    //    visits count as work units, so what remains in `noop` is
-    //    genuinely stale gates — the quantity cancellation eliminates.
+    //    ≤ 10% of the old baseline (2902). Polled site visits count as
+    //    work units, so what remains in `noop` is genuinely stale gates.
     let g = gating_stats(consolidated::build, 30, false);
     println!(
-        "check: consolidated 30 sim-s: noop={} (budget {NOOP_BUDGET}), cancelled={}",
-        g.noop, g.cancelled
+        "check: consolidated 30 sim-s: noop={} (budget {NOOP_BUDGET})",
+        g.noop
     );
     assert!(
         g.noop <= NOOP_BUDGET,
@@ -420,7 +416,7 @@ fn check() {
     );
 
     // 2. Scatter-Gather's indexed dispatch must stay range-batched: the
-    //    mean items-per-phase over a wheel-gated sparse run tracks the
+    //    mean items-per-phase over a gated sparse run tracks the
     //    number of index *ranges*, not the number of active agents
     //    (mean active set ≈ 4.5 would show through as ≈ 4.5 items per
     //    phase under per-agent dispatch).
@@ -439,19 +435,26 @@ fn check() {
         "SG indexed dispatch regressed toward one item per agent: {per_phase:.2} items/phase"
     );
 
-    // 3. The churn scenario must exercise the cancellation protocol —
-    //    otherwise the noop budget above is checking a vacuum.
-    let g = gating_stats(build_churn, 90, false);
-    println!(
-        "check: faulted-churn 90 sim-s: cancelled={}, noop={}",
-        g.cancelled, g.noop
-    );
-    assert!(g.cancelled > 0, "churn run cancelled no gates");
+    // 3. Gates are refreshed from the canonical stores, so even the
+    //    runs that leave dead timeout and hedge entries behind on every
+    //    completion must never wake a drain for nothing.
+    for (scenario, build, horizon_secs) in [
+        ("faulted-churn", build_churn as fn(u64) -> Simulation, 90),
+        ("churned", build_churned, 120),
+    ] {
+        let g = gating_stats(build, horizon_secs, false);
+        println!(
+            "check: {scenario} {horizon_secs} sim-s: gated={}, noop={}",
+            g.gated, g.noop
+        );
+        assert!(g.gated > 0, "{scenario} run gated no drain");
+        assert_eq!(g.noop, 0, "{scenario} run woke a drain on a stale gate");
+    }
 
     // 4. The stochastic churn run must actually apply incidents, and
-    //    its Churn drain class must stay wheel-gated: far more steps
-    //    skip the class than drain it (the queue never drains dry, so
-    //    the wheel knows the next transition exactly).
+    //    its Churn drain class must stay gated: far more steps skip
+    //    the class than drain it (the queue never drains dry, so the
+    //    gate knows the next transition exactly).
     let mut sim = build_churned(42);
     sim.enable_profiler(0);
     sim.run_until(SimTime::from_secs(120));
@@ -470,7 +473,7 @@ fn check() {
     assert!(d.gated > 0, "no Churn drain was ever gated");
     assert!(
         d.skipped > d.gated,
-        "Churn class is not wheel-gated: {} skipped vs {} gated",
+        "Churn class is not gated: {} skipped vs {} gated",
         d.skipped,
         d.gated
     );
@@ -579,7 +582,6 @@ fn main() {
             gate.gated.to_string(),
             gate.polled.to_string(),
             gate.noop.to_string(),
-            gate.cancelled.to_string(),
             format!("{:.1}", gate.active_mean),
         ]);
         for (name, executor) in &executors {
@@ -603,7 +605,7 @@ fn main() {
                     "\"after_ms_per_sim_s\": {:.4}, \"speedup\": {:.3}, ",
                     "\"skipped_drains\": {}, \"gated_drains\": {}, ",
                     "\"polled_drains\": {}, \"noop_drains\": {}, ",
-                    "\"cancelled_gates\": {}, \"active_set_mean\": {:.3}}}"
+                    "\"active_set_mean\": {:.3}}}"
                 ),
                 json_escape(case.scenario),
                 json_escape(name),
@@ -615,13 +617,12 @@ fn main() {
                 gate.gated,
                 gate.polled,
                 gate.noop,
-                gate.cancelled,
                 gate.active_mean,
             ));
         }
     }
 
-    // Sharded engine: serial wheel-mode vs whole-window parallelism.
+    // Sharded engine: serial gated mode vs whole-window parallelism.
     // The serial baseline is re-measured here (not taken from the rows
     // above) so both sides of each ratio come from the same machine
     // state.
@@ -748,7 +749,7 @@ fn main() {
     }
 
     print_table(
-        "Step loop: dense poll+tick (before) vs wheel+active-set (after), wall ms per sim s",
+        "Step loop: dense poll+tick (before) vs gates+active-set (after), wall ms per sim s",
         &["scenario", "executor", "before", "after", "speedup"],
         &rows,
     );
@@ -773,21 +774,20 @@ fn main() {
         &optrace_rows,
     );
     print_table(
-        "Sharded engine: serial wheel-mode vs shard windows, wall ms per sim s",
+        "Sharded engine: serial gated mode vs shard windows, wall ms per sim s",
         &[
             "scenario", "shards", "window", "serial", "sharded", "speedup", "mail", "seq-gaps",
         ],
         &sharded_rows,
     );
     print_table(
-        "Wheel gating (wheel mode): drain opportunities by outcome",
+        "Drain gating (gated mode): drain opportunities by outcome",
         &[
             "scenario",
             "skipped",
             "gated",
             "polled",
             "noop",
-            "cancelled",
             "active-mean",
         ],
         &gating_rows,
@@ -804,7 +804,6 @@ fn main() {
             "gated_drains",
             "polled_drains",
             "noop_drains",
-            "cancelled_gates",
             "active_set_mean",
         ],
         &rows
@@ -825,7 +824,6 @@ fn main() {
                     g[3].clone(),
                     g[4].clone(),
                     g[5].clone(),
-                    g[6].clone(),
                 ]
             })
             .collect::<Vec<_>>(),

@@ -13,9 +13,10 @@
 //! * **Active-set completeness** — every agent with queued or in-service
 //!   work is an active-set member (skipped under the always-tick loop,
 //!   which has no active set).
-//! * **Wheel-gate existence** — for every event class with a pending
-//!   canonical event, the timer wheel holds a live gate at or before that
-//!   event's tick (skipped under always-poll, which has no wheel).
+//! * **Gates never late** — for every phase-1 event class, the engine's
+//!   next-due gate is at or before the earliest event in the class's
+//!   canonical store, so the class's drain cannot run late (skipped
+//!   under always-poll, which has no gates).
 //! * **Mailbox continuity** — no shard observed an out-of-order window
 //!   envelope.
 //!
@@ -59,15 +60,15 @@ pub enum InvariantViolation {
         /// Agent index.
         agent: u32,
     },
-    /// An event class has a pending canonical event but no live wheel
-    /// gate at or before its tick — the drain would run late.
-    MissingWheelGate {
+    /// An event class's next-due gate sits later than the earliest
+    /// event in its canonical store — the drain would run late.
+    LateGate {
         /// Simulation time of the audit.
         at: SimTime,
-        /// Event-class label (see [`crate::wheel::EventClass`]).
+        /// Event-class label (see [`crate::EventClass`]).
         class: String,
-        /// Tick the earliest canonical event fires at.
-        head_tick: u64,
+        /// Time (µs) of the earliest canonical event.
+        head_us: u64,
     },
     /// A shard observed out-of-sequence window mail.
     MailboxSeqGap {
@@ -110,14 +111,10 @@ impl fmt::Display for InvariantViolation {
                  active set",
                 at.as_secs_f64()
             ),
-            InvariantViolation::MissingWheelGate {
-                at,
-                class,
-                head_tick,
-            } => write!(
+            InvariantViolation::LateGate { at, class, head_us } => write!(
                 f,
-                "t={}s: class {class} has a canonical event at tick \
-                 {head_tick} but no live wheel gate at or before it",
+                "t={}s: class {class} has a canonical event at {head_us} us \
+                 but its gate is later",
                 at.as_secs_f64()
             ),
             InvariantViolation::MailboxSeqGap { at, shard, gaps } => write!(
@@ -225,7 +222,7 @@ gdisim_snap::snap_enum!(InvariantViolation {
     0 => TokenWithoutInstance { at, token, instance },
     1 => MemHoldImbalance { at, memory, held_bytes, metered_bytes },
     2 => InactiveAgentWithWork { at, agent },
-    3 => MissingWheelGate { at, class, head_tick },
+    3 => LateGate { at, class, head_us },
     4 => MailboxSeqGap { at, shard, gaps },
 });
 gdisim_snap::snap_struct!(AuditState {

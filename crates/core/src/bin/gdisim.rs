@@ -23,9 +23,9 @@
 //! optional resilience-policy bundle (`--resilience`: hedged requests,
 //! circuit breakers, load shedding) and prints the degradation summary
 //! (availability, failed/retried/abandoned operations, healthy vs.
-//! degraded response times, churn MTTF/MTTR, error-budget burn) plus
-//! the trace drop counters, and with `--bench-json` also writes machine-readable run
-//! timing; the observability flags export a step-loop profile
+//! degraded response times, churn MTTF/MTTR, error-budget burn) plus,
+//! when `--trace-jsonl` records the trace, its drop counters, and with
+//! `--bench-json` also writes machine-readable run timing; the observability flags export a step-loop profile
 //! (`--profile-json`), a Chrome/Perfetto trace of per-step phase spans
 //! (`--trace-perfetto`), the simulation trace as JSON Lines
 //! (`--trace-jsonl`), and a stderr heartbeat (`--progress`);
@@ -411,7 +411,7 @@ fn print_usage() {
          seed and installed fault/churn/resilience state all\n                          \
          come from the checkpoint\n  \
          --paranoid             audit conservation invariants (token linkage,\n                          \
-         memory-hold balance, active-set completeness, wheel\n                          \
+         memory-hold balance, active-set completeness, drain\n                          \
          gates, mailbox ordering) at every measurement\n                          \
          collection; violations exit non-zero\n\n\
          OBSERVABILITY (run subcommand):\n  \
@@ -486,8 +486,8 @@ fn run_case_study(mut sim: Simulation, hours: u64, sites: &[&str]) {
 
 /// Prints the degradation summary of a (possibly fault-injected) run:
 /// fault counters, availability, degraded windows, healthy vs. degraded
-/// response times and the trace drop breakdown. Sharded runs pass
-/// shard 0's trace (each shard records its own).
+/// response times and, when a trace was recorded, its drop breakdown.
+/// Sharded runs pass shard 0's trace (each shard records its own).
 fn degradation_summary(report: &Report, trace: Option<&TraceLog>) {
     let f = report.faults;
     println!("\nfault layer:");
@@ -748,7 +748,9 @@ fn cmd_run(args: &Args) -> Result<(), CliError> {
     if args.shards > 1 {
         let dt = sim.dt();
         let mut sharded = ShardedSimulation::new(sim, args.shards, args.lookahead_ticks, None)?;
-        sharded.enable_trace(100_000);
+        if args.trace_jsonl.is_some() {
+            sharded.enable_trace(TRACE_CAPACITY);
+        }
         if let Some(rate) = optrace_rate(args) {
             sharded.enable_optrace(rate);
         }
@@ -756,12 +758,18 @@ fn cmd_run(args: &Args) -> Result<(), CliError> {
             args, sharded, dt, horizon, &scenario, args.seed, &sites, header,
         );
     }
-    sim.enable_trace(100_000);
+    if args.trace_jsonl.is_some() {
+        sim.enable_trace(TRACE_CAPACITY);
+    }
     if let Some(rate) = optrace_rate(args) {
         sim.enable_optrace(rate);
     }
     run_serial_cmd(args, sim, horizon, &scenario, args.seed, &sites, header)
 }
+
+/// Events the message-level trace log retains before it only counts
+/// drops. The log is recorded only when `--trace-jsonl` asks for it.
+const TRACE_CAPACITY: usize = 100_000;
 
 /// The effective operation-tracing sampling rate: `--trace-ops RATE`
 /// verbatim, or 1.0 when only `--optrace-json` asks for the export.
@@ -855,27 +863,24 @@ fn run_serial_cmd(
         // before/after comparisons. Every emitted string is a validated
         // scenario name or a static executor name, so no escaping is
         // needed. With the profiler on (always the case here), the
-        // wheel-gating stats ride along so a bench row also answers
-        // "how much work did the timer wheel actually skip".
+        // drain-gating stats ride along so a bench row also answers
+        // "how much phase-1 work did the gates actually skip".
         let sim_s = horizon.as_secs_f64();
         let wall_ms = elapsed.as_secs_f64() * 1e3;
         let gating = sim
             .step_profile()
             .map(|p| {
-                let (mut skipped, mut gated, mut polled, mut noop, mut cancelled) =
-                    (0u64, 0u64, 0u64, 0u64, 0u64);
+                let (mut skipped, mut gated, mut polled, mut noop) = (0u64, 0u64, 0u64, 0u64);
                 for (_, d) in &p.drains {
                     skipped += d.skipped;
                     gated += d.gated;
                     polled += d.polled;
                     noop += d.noop;
-                    cancelled += d.cancelled;
                 }
                 format!(
                     ",\n  \"steps\": {},\n  \"skipped_drains\": {skipped},\n  \
                      \"gated_drains\": {gated},\n  \"polled_drains\": {polled},\n  \
-                     \"noop_drains\": {noop},\n  \"cancelled_gates\": {cancelled},\n  \
-                     \"active_set_mean\": {:.3}",
+                     \"noop_drains\": {noop},\n  \"active_set_mean\": {:.3}",
                     p.steps, p.occupancy_mean,
                 )
             })
@@ -1147,7 +1152,9 @@ fn scenario_context(scenario: &str, hours: u64) -> Result<(Vec<&'static str>, Si
 /// restores whichever engine (serial or sharded) it holds and continues
 /// to the horizon. Scenario, seed and every installed layer come from
 /// the checkpoint; tracing continues from the serialized log (it is
-/// *not* re-enabled, which would truncate it), while the observational
+/// *not* re-enabled, which would truncate it) and starts at the resume
+/// point when `--trace-jsonl` meets a checkpoint without one, while the
+/// observational
 /// profiler, the `--paranoid` auditor and `--trace-ops` operation
 /// tracing are re-applied from the flags (the span recorder is never
 /// serialized, so a resumed export covers operations launched after
@@ -1186,6 +1193,9 @@ fn cmd_resume(args: &Args, path: &str) -> Result<(), CliError> {
                     "the checkpoint holds a serial engine; drop --shards to resume it".into(),
                 ));
             }
+            if args.trace_jsonl.is_some() && sim.trace().is_none() {
+                sim.enable_trace(TRACE_CAPACITY);
+            }
             if let Some(rate) = optrace_rate(args) {
                 sim.enable_optrace(rate);
             }
@@ -1198,6 +1208,9 @@ fn cmd_resume(args: &Args, path: &str) -> Result<(), CliError> {
                     sharded.shards(),
                     args.shards
                 )));
+            }
+            if args.trace_jsonl.is_some() && sharded.traces().iter().all(Option::is_none) {
+                sharded.enable_trace(TRACE_CAPACITY);
             }
             if let Some(rate) = optrace_rate(args) {
                 sharded.enable_optrace(rate);

@@ -24,7 +24,6 @@ use crate::fault::{FaultAction, FaultPlan, FaultPlanError, FaultTarget, InFlight
 use crate::flight::{Chain, FlightTable, Instance, InstanceKind};
 use crate::report::{BackgroundRecord, ChurnComponentRecord, HealthEventError, Report};
 use crate::router::compile_with;
-use crate::wheel::{EventClass, TimerWheel};
 use gdisim_background::{BackgroundKind, BackgroundLaunch, BackgroundScheduler};
 use gdisim_infra::{ComponentKind, Infrastructure};
 use gdisim_metrics::{MetricsRegistry, ResponseKey};
@@ -278,6 +277,71 @@ pub enum TrafficSource {
     },
 }
 
+/// The phase-1 event classes whose drains sit behind a next-due gate.
+///
+/// Each class fronts one drain in [`Simulation::step`]'s phase 1, in the
+/// order they run there, and reads its gate from one canonical ordered
+/// store (see [`Simulation::head_us`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EventClass {
+    /// Stochastic churn incidents (`apply_churn_events`).
+    Churn,
+    /// Fault-plan events (`apply_fault_events`).
+    Faults,
+    /// Client retry backoffs (`launch_due_retries`).
+    Retries,
+    /// Hedge-delay expiries (`launch_due_hedges`).
+    Hedges,
+    /// Per-attempt operation timeouts (`reap_timeouts`).
+    Timeouts,
+    /// Scheduled link/server health events (`apply_link_events`).
+    Health,
+    /// Session think-timer expiries (`wake_sessions`).
+    SessionWakes,
+    /// Periodic series launches (the `PeriodicSeries` traffic arm).
+    Series,
+    /// Background daemon schedules (`poll_background`).
+    Background,
+}
+
+/// Number of gated event classes (mirrored by `gdisim_obs::NUM_CLASSES`).
+const CLASSES: usize = EventClass::ALL.len();
+
+impl EventClass {
+    /// All classes, in phase-1 drain order.
+    pub const ALL: [EventClass; 9] = [
+        EventClass::Churn,
+        EventClass::Faults,
+        EventClass::Retries,
+        EventClass::Hedges,
+        EventClass::Timeouts,
+        EventClass::Health,
+        EventClass::SessionWakes,
+        EventClass::Series,
+        EventClass::Background,
+    ];
+
+    /// Dense index (`0..ALL.len()`), usable as a profiler slot.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
+    /// Stable snake_case name for export artifacts.
+    pub fn label(self) -> &'static str {
+        match self {
+            EventClass::Churn => "churn",
+            EventClass::Faults => "faults",
+            EventClass::Retries => "retries",
+            EventClass::Hedges => "hedges",
+            EventClass::Timeouts => "timeouts",
+            EventClass::Health => "health",
+            EventClass::SessionWakes => "session_wakes",
+            EventClass::Series => "series",
+            EventClass::Background => "background",
+        }
+    }
+}
+
 /// The simulator.
 #[derive(Clone)]
 pub struct Simulation {
@@ -318,25 +382,25 @@ pub struct Simulation {
     /// Reusable buffer for the phase-3 completion drain.
     completed_scratch: Vec<(u32, u64)>,
     /// When set, every phase-1 source is polled every step (the seed
-    /// loop); otherwise the timer wheel gates each source class and a
-    /// drain only runs when an event actually reached its tick. Results
-    /// are bit-for-bit identical either way.
+    /// loop); otherwise each class's drain runs only when its next-due
+    /// gate says an event reached the current step. Results are
+    /// bit-for-bit identical either way.
     always_poll: bool,
-    /// The phase-1 gate wheel; primed lazily at the first step (once
-    /// `dt` is final) unless [`Self::set_always_poll`] disabled it.
-    wheel: Option<TimerWheel>,
+    /// Per-class next-due gate in microseconds (`u64::MAX`: nothing
+    /// pending), indexed by [`EventClass::index`]. A drain runs iff its
+    /// entry is `<= now`. Rebuilt from [`Self::head_us`] at the first
+    /// step (and after a checkpoint load); `None` until then and always
+    /// under [`Self::set_always_poll`]. Never serialized.
+    next_due_us: Option<[u64; CLASSES]>,
     /// Traffic sources that must be visited every step regardless of the
-    /// wheel (diurnal Poisson draws, session population tracking). When
-    /// zero, the traffic scan itself sits behind the series gate.
+    /// series gate (diurnal Poisson draws, session population tracking).
+    /// When zero, the traffic scan itself sits behind the series gate.
     polled_sources: usize,
     /// Optional step-loop profiler (see [`gdisim_obs`]). Strictly
     /// observational: it only reads the wall clock and counters, never
     /// simulation state or randomness, so enabling it cannot change
     /// results.
     profiler: Option<StepProfiler>,
-    /// Last-seen snapshot of the wheel's monotone per-class cancellation
-    /// counters; the profiler is fed the per-step deltas.
-    cancelled_seen: [u64; EventClass::ALL.len()],
     /// Stochastic churn runtime; `None` (or an empty model) leaves every
     /// step bit-identical to a churn-free run.
     churn: Option<ChurnRuntime>,
@@ -452,10 +516,9 @@ impl Simulation {
             active_scratch: Vec::new(),
             completed_scratch: Vec::new(),
             always_poll: false,
-            wheel: None,
+            next_due_us: None,
             polled_sources: 0,
             profiler: None,
-            cancelled_seen: [0; EventClass::ALL.len()],
             churn: None,
             resilience: None,
             orphans: HashSet::new(),
@@ -1205,11 +1268,10 @@ impl Simulation {
     }
 
     /// Forces per-step polling of every phase-1 source, disabling the
-    /// timer-wheel event index (see [`crate::wheel`]). Results are
-    /// bit-for-bit identical either way (the equivalence tests rely on
-    /// this switch); only wall time changes. Must be set before the run
-    /// starts — the wheel is primed from the pending schedules at the
-    /// first step and cannot be reconstructed mid-run.
+    /// next-due gates. Results are bit-for-bit identical either way (the
+    /// equivalence tests rely on this switch); only wall time changes.
+    /// Must be set before the run starts — the gates are primed from the
+    /// pending schedules at the first step.
     pub fn set_always_poll(&mut self, on: bool) {
         assert_eq!(
             self.now,
@@ -1218,7 +1280,7 @@ impl Simulation {
         );
         self.always_poll = on;
         if on {
-            self.wheel = None;
+            self.next_due_us = None;
         }
     }
 
@@ -1299,67 +1361,18 @@ impl Simulation {
             }
         }
 
-        // Wheel gates: every class with a pending canonical event must
-        // hold a live gate at or before that event's tick, or its drain
-        // would run late. Mirrors `prime_wheel`'s head enumeration.
-        if let Some(w) = &self.wheel {
-            let dt_us = self.config.dt.as_micros();
-            let check = |class: EventClass, head_us: u64, audit: &mut crate::audit::AuditState| {
-                let head_tick = head_us.div_ceil(dt_us);
-                if w.earliest_live(class).is_none_or(|g| g > head_tick) {
-                    audit.record(V::MissingWheelGate {
+        // Gates: no class's gate may sit later than its canonical
+        // store's earliest event, or that event's drain would run late.
+        if let Some(due) = &self.next_due_us {
+            for class in EventClass::ALL {
+                let head_us = self.head_us(class);
+                if due[class.index()] > head_us {
+                    audit.record(V::LateGate {
                         at,
                         class: class.label().to_string(),
-                        head_tick,
+                        head_us,
                     });
                 }
-            };
-            if let Some(&std::cmp::Reverse((t_us, _))) =
-                self.churn.as_ref().and_then(|c| c.queue.peek())
-            {
-                check(EventClass::Churn, t_us, audit);
-            }
-            if let Some(&std::cmp::Reverse((t_us, _))) =
-                self.resilience.as_ref().and_then(|r| r.hedges.peek())
-            {
-                check(EventClass::Hedges, t_us, audit);
-            }
-            if let Some(f) = &self.faults {
-                if let Some(&(t, ..)) = f.events.get(f.cursor) {
-                    check(EventClass::Faults, t.as_micros(), audit);
-                }
-                if let Some(at_us) = f.pending_retries.iter().map(|r| r.at.as_micros()).min() {
-                    check(EventClass::Retries, at_us, audit);
-                }
-                if let Some(&std::cmp::Reverse((t_us, _))) = f.timeouts.peek() {
-                    check(EventClass::Timeouts, t_us, audit);
-                }
-            }
-            if let Some(at_us) = self.link_events.iter().map(|(t, _)| t.as_micros()).min() {
-                check(EventClass::Health, at_us, audit);
-            }
-            if let Some(&std::cmp::Reverse((t_us, _))) = self.session_wakes.peek() {
-                check(EventClass::SessionWakes, t_us, audit);
-            }
-            if self.polled_sources == 0 {
-                let head = self
-                    .traffic
-                    .iter()
-                    .filter_map(|s| match s {
-                        TrafficSource::PeriodicSeries { next, stop_at, .. }
-                            if stop_at.is_none_or(|stop| *next < stop) =>
-                        {
-                            Some(next.as_micros())
-                        }
-                        _ => None,
-                    })
-                    .min();
-                if let Some(at_us) = head {
-                    check(EventClass::Series, at_us, audit);
-                }
-            }
-            if let Some(next) = self.background.as_ref().and_then(|s| s.next_due()) {
-                check(EventClass::Background, next.as_micros(), audit);
             }
         }
 
@@ -1376,112 +1389,103 @@ impl Simulation {
         }
     }
 
-    /// Registers a phase-1 event with the wheel, when one is active.
+    /// Registers a phase-1 event: pulls the class's gate forward to
+    /// `at` when it is earlier. A no-op in polling mode and before the
+    /// gates are primed (priming reads every store anyway).
     fn gate(&mut self, class: EventClass, at: SimTime) {
-        if let Some(w) = &mut self.wheel {
-            w.schedule(class, at);
+        if let Some(due) = &mut self.next_due_us {
+            let c = class.index();
+            due[c] = due[c].min(at.as_micros());
         }
     }
 
-    /// Consumes the class's due gate. Without a wheel (polling mode, or
-    /// the priming step itself) every drain runs, as in the seed loop.
-    fn take_gate(&mut self, class: EventClass) -> bool {
-        match &mut self.wheel {
-            Some(w) => w.take(class),
-            None => true,
+    /// Resets the class's gate to its canonical store's earliest event,
+    /// after the class's drain ran or the store lost entries.
+    fn refresh_gate(&mut self, class: EventClass) {
+        if let Some(mut due) = self.next_due_us {
+            due[class.index()] = self.head_us(class);
+            self.next_due_us = Some(due);
         }
     }
 
-    /// Invalidates every outstanding gate of `class` when its canonical
-    /// container just went empty. No re-arm is needed: with nothing left
-    /// to drain, every outstanding gate is provably stale (its drain
-    /// would be a no-op), and future events register fresh gates through
-    /// [`Self::gate`] at creation. A no-op in polling mode.
-    fn cancel_empty_class(&mut self, class: EventClass) {
-        if let Some(w) = &mut self.wheel {
-            w.cancel_class(class);
+    /// Time (µs) of the earliest pending event in `class`'s canonical
+    /// store, `u64::MAX` when it holds none: the heaps for churn,
+    /// hedges, timeouts and session wakes, the cursor for faults, the
+    /// minimum over the retry vector, health events and live series,
+    /// and the background scheduler's horizon.
+    fn head_us(&self, class: EventClass) -> u64 {
+        fn heap_head<T: Ord>(
+            heap: &std::collections::BinaryHeap<std::cmp::Reverse<(u64, T)>>,
+        ) -> u64 {
+            heap.peek()
+                .map_or(u64::MAX, |std::cmp::Reverse((t_us, _))| *t_us)
         }
+        let faults = self.faults.as_ref();
+        let head = match class {
+            EventClass::Churn => self.churn.as_ref().map(|c| heap_head(&c.queue)),
+            EventClass::Faults => {
+                faults.and_then(|f| f.events.get(f.cursor).map(|e| e.0.as_micros()))
+            }
+            EventClass::Retries => {
+                faults.and_then(|f| f.pending_retries.iter().map(|r| r.at.as_micros()).min())
+            }
+            EventClass::Hedges => self.resilience.as_ref().map(|r| heap_head(&r.hedges)),
+            EventClass::Timeouts => faults.map(|f| heap_head(&f.timeouts)),
+            EventClass::Health => self.link_events.iter().map(|(t, _)| t.as_micros()).min(),
+            EventClass::SessionWakes => Some(heap_head(&self.session_wakes)),
+            EventClass::Series => self
+                .traffic
+                .iter()
+                .filter_map(|s| match s {
+                    TrafficSource::PeriodicSeries { next, stop_at, .. }
+                        if stop_at.is_none_or(|stop| *next < stop) =>
+                    {
+                        Some(next.as_micros())
+                    }
+                    _ => None,
+                })
+                .min(),
+            EventClass::Background => self
+                .background
+                .as_ref()
+                .and_then(|s| s.next_due())
+                .map(SimTime::as_micros),
+        };
+        head.unwrap_or(u64::MAX)
     }
 
-    /// Retires stale [`EventClass::Timeouts`] gates after an instance
-    /// left the flight table (completion or failure): pops the timeout
-    /// heap's dead prefix — entries [`Self::reap_timeouts`] would skip —
-    /// bumps the class generation so the dead entries' gates never fire,
-    /// and re-arms at the surviving head.
-    ///
-    /// Bit-identity is preserved by an inductive invariant: *a valid
-    /// Timeouts gate always exists at or before the earliest live
-    /// deadline's tick.* Every launch arms its own deadline
-    /// ([`Self::launch_attempt`]), and every call here — made from both
+    /// Pops the dead prefix of the timeout and hedge heaps — entries
+    /// whose instance already left the flight table, which
+    /// [`Self::reap_timeouts`] and [`Self::launch_due_hedges`] would
+    /// skip — and refreshes both gates from the live heads. Called from
     /// [`Self::complete_instance`] and [`Self::fail_instance`], the only
-    /// two ways a client instance leaves the table — re-arms at the
-    /// post-removal heap head, which is at or before every live
-    /// deadline. Gates therefore still fire early-or-on-time, never
-    /// late; the cancelled ones would only have woken no-op reaps.
-    fn cancel_stale_timeout_gates(&mut self) {
-        let Some(w) = &mut self.wheel else { return };
-        let Some(f) = &mut self.faults else { return };
-        if f.retry.is_none() {
+    /// two ways a client instance leaves the table, so those gates never
+    /// wake a drain for an event that no longer exists.
+    fn retire_dead_timers(&mut self) {
+        if self.next_due_us.is_none() {
             return;
         }
-        while let Some(&std::cmp::Reverse((_, id))) = f.timeouts.peek() {
-            if self.flight.instances.contains_key(&id) {
-                break;
-            }
-            f.timeouts.pop();
-        }
-        w.cancel_class(EventClass::Timeouts);
-        if let Some(&std::cmp::Reverse((t_us, _))) = f.timeouts.peek() {
-            w.schedule_at_micros(EventClass::Timeouts, t_us);
-        }
-    }
-
-    /// Builds the wheel from everything already scheduled: fault plans,
-    /// health events, series launch times, pending session wakes,
-    /// retries and timeouts, and the background horizon. Runs at the
-    /// first step so `dt` (and every pre-run `schedule_*`/`set_*` call)
-    /// is final; later insertions go through [`Self::gate`] at the point
-    /// each event is created.
-    fn prime_wheel(&mut self) {
-        let mut w = TimerWheel::new(self.config.dt);
-        if let Some(c) = &self.churn {
-            for &std::cmp::Reverse((t_us, _)) in c.queue.iter() {
-                w.schedule_at_micros(EventClass::Churn, t_us);
+        let live = |id: u64| self.flight.instances.contains_key(&id);
+        if let Some(f) = &mut self.faults {
+            while f
+                .timeouts
+                .peek()
+                .is_some_and(|&std::cmp::Reverse((_, id))| !live(id))
+            {
+                f.timeouts.pop();
             }
         }
-        if let Some(r) = &self.resilience {
-            for &std::cmp::Reverse((t_us, _)) in r.hedges.iter() {
-                w.schedule_at_micros(EventClass::Hedges, t_us);
+        if let Some(r) = &mut self.resilience {
+            while r
+                .hedges
+                .peek()
+                .is_some_and(|&std::cmp::Reverse((_, id))| !live(id))
+            {
+                r.hedges.pop();
             }
         }
-        if let Some(f) = &self.faults {
-            for &(t, ..) in &f.events[f.cursor..] {
-                w.schedule(EventClass::Faults, t);
-            }
-            for r in &f.pending_retries {
-                w.schedule(EventClass::Retries, r.at);
-            }
-            for &std::cmp::Reverse((t_us, _)) in f.timeouts.iter() {
-                w.schedule_at_micros(EventClass::Timeouts, t_us);
-            }
-        }
-        for (t, _) in &self.link_events {
-            w.schedule(EventClass::Health, *t);
-        }
-        for &std::cmp::Reverse((t_us, _)) in self.session_wakes.iter() {
-            w.schedule_at_micros(EventClass::SessionWakes, t_us);
-        }
-        for source in &self.traffic {
-            if let TrafficSource::PeriodicSeries { next, stop_at, .. } = source {
-                if stop_at.is_none_or(|s| *next < s) {
-                    w.schedule(EventClass::Series, *next);
-                }
-            }
-        }
-        if let Some(next) = self.background.as_ref().and_then(|s| s.next_due()) {
-            w.schedule(EventClass::Background, next);
-        }
-        self.wheel = Some(w);
+        self.refresh_gate(EventClass::Timeouts);
+        self.refresh_gate(EventClass::Hedges);
     }
 
     /// Current simulation time.
@@ -1516,9 +1520,31 @@ impl Simulation {
         }
     }
 
+    /// Whether `class`'s drain must run at `now`: always in polling
+    /// mode, otherwise iff its gate is at or before `now`. `now` sits on
+    /// a step boundary, so this is the first step at which the polling
+    /// loop's `at <= now` check passes — a gate is never late.
+    #[inline]
+    fn is_due(&self, class: EventClass, now: SimTime) -> bool {
+        self.next_due_us
+            .is_none_or(|due| due[class.index()] <= now.as_micros())
+    }
+
+    /// Runs one gated phase-1 drain: `drain` executes iff the class is
+    /// due, and then the gate is refreshed from the class's store.
+    #[inline]
+    fn run_drain(&mut self, class: EventClass, now: SimTime, drain: fn(&mut Self, SimTime) -> u64) {
+        let ran = self.is_due(class, now);
+        let n = if ran { drain(self, now) } else { 0 };
+        if ran {
+            self.refresh_gate(class);
+        }
+        self.note_drain(class, ran, self.next_due_us.is_some(), n);
+    }
+
     /// Accounts one phase-1 drain with the profiler, when one is active.
-    /// `ran` says whether the drain executed, `gated` whether the wheel
-    /// (as opposed to unconditional polling) let it through, `processed`
+    /// `ran` says whether the drain executed, `gated` whether a gate (as
+    /// opposed to unconditional polling) let it through, `processed`
     /// how many events it handled. A no-op when profiling is off.
     #[inline]
     fn note_drain(&mut self, class: EventClass, ran: bool, gated: bool, processed: u64) {
@@ -1552,47 +1578,21 @@ impl Simulation {
         // post-fault routing tables; retries launch before timeouts are
         // reaped so a zero-backoff retry still waits one full tick.
         //
-        // On the event-indexed path each drain sits behind its wheel
-        // gate and only runs when an event reached its tick; a skipped
-        // drain is provably a no-op (and draws no randomness), so the
-        // gated loop is bit-for-bit identical to polling every source.
-        if !self.always_poll && self.wheel.is_none() {
-            self.prime_wheel();
+        // On the event-indexed path each drain sits behind its next-due
+        // gate and only runs when an event reached the current step; a
+        // skipped drain is provably a no-op (and draws no randomness), so
+        // the gated loop is bit-for-bit identical to polling every source.
+        if !self.always_poll && self.next_due_us.is_none() {
+            self.next_due_us = Some(EventClass::ALL.map(|c| self.head_us(c)));
         }
-        if let Some(w) = &mut self.wheel {
-            w.advance_to(now.as_micros() / dt.as_micros());
-        }
-        // Report newly observed gate cancellations (generation-retired
-        // stale bits, counted monotonically by the wheel) as per-class
-        // deltas. Lags the cancellation itself by at most one step, and
-        // cancellations after the final step's snapshot go unreported —
-        // an observational counter, not simulation state.
-        if let (Some(w), Some(p)) = (&self.wheel, &mut self.profiler) {
-            for (class, &count) in w.cancelled_counts().iter().enumerate() {
-                let seen = &mut self.cancelled_seen[class];
-                if count > *seen {
-                    p.note_cancelled(class, count - *seen);
-                    *seen = count;
-                }
-            }
-        }
-        // Whether a drain that runs this step runs because its gate
-        // fired (wheel active) or because every source is polled.
-        let gated_mode = self.wheel.is_some();
         // Churn transitions drain first so fault-plan events, retries
         // and fresh launches all see the post-churn routing tables.
         if self.churn.is_some() {
-            let ran = self.take_gate(EventClass::Churn);
-            let n = if ran { self.apply_churn_events(now) } else { 0 };
-            self.note_drain(EventClass::Churn, ran, gated_mode, n);
+            self.run_drain(EventClass::Churn, now, Self::apply_churn_events);
         }
         if self.faults.is_some() {
-            let ran = self.take_gate(EventClass::Faults);
-            let n = if ran { self.apply_fault_events(now) } else { 0 };
-            self.note_drain(EventClass::Faults, ran, gated_mode, n);
-            let ran = self.take_gate(EventClass::Retries);
-            let n = if ran { self.launch_due_retries(now) } else { 0 };
-            self.note_drain(EventClass::Retries, ran, gated_mode, n);
+            self.run_drain(EventClass::Faults, now, Self::apply_fault_events);
+            self.run_drain(EventClass::Retries, now, Self::launch_due_retries);
         }
         // Hedge twins launch after retries (a fresh retry's hedge timer
         // is never due the same tick it was armed) and before timeouts,
@@ -1602,41 +1602,34 @@ impl Simulation {
             .as_ref()
             .is_some_and(|r| r.policies.hedge.is_some())
         {
-            let ran = self.take_gate(EventClass::Hedges);
-            let n = if ran { self.launch_due_hedges(now) } else { 0 };
-            self.note_drain(EventClass::Hedges, ran, gated_mode, n);
+            self.run_drain(EventClass::Hedges, now, Self::launch_due_hedges);
         }
         if self.faults.is_some() {
-            let ran = self.take_gate(EventClass::Timeouts);
-            let n = if ran { self.reap_timeouts(now) } else { 0 };
-            self.note_drain(EventClass::Timeouts, ran, gated_mode, n);
+            self.run_drain(EventClass::Timeouts, now, Self::reap_timeouts);
         }
-        let ran = self.take_gate(EventClass::Health);
-        let n = if ran { self.apply_link_events(now) } else { 0 };
-        self.note_drain(EventClass::Health, ran, gated_mode, n);
-        let ran = self.take_gate(EventClass::SessionWakes);
-        let n = if ran { self.wake_sessions(now) } else { 0 };
-        self.note_drain(EventClass::SessionWakes, ran, gated_mode, n);
+        self.run_drain(EventClass::Health, now, Self::apply_link_events);
+        self.run_drain(EventClass::SessionWakes, now, Self::wake_sessions);
         // Diurnal and session sources are inherently per-step (Poisson
         // draws and population-target checks share the arrival sampler's
         // stream), so the traffic scan runs whenever any exist; a pure
         // periodic-series workload is scanned only when a launch is due.
-        let series_due = self.take_gate(EventClass::Series);
+        let series_due = self.is_due(EventClass::Series, now);
         let scan = self.polled_sources > 0 || series_due;
         let n = if scan {
             self.generate_arrivals(now, series_due)
         } else {
             0
         };
+        if series_due {
+            self.refresh_gate(EventClass::Series);
+        }
         self.note_drain(
             EventClass::Series,
             scan,
-            gated_mode && self.polled_sources == 0,
+            self.next_due_us.is_some() && self.polled_sources == 0,
             n,
         );
-        let ran = self.take_gate(EventClass::Background);
-        let n = if ran { self.poll_background(now) } else { 0 };
-        self.note_drain(EventClass::Background, ran, gated_mode, n);
+        self.run_drain(EventClass::Background, now, Self::poll_background);
         if let Some(p) = &mut self.profiler {
             p.mark_phase(PHASE_DRAIN);
         }
@@ -1749,7 +1742,7 @@ impl Simulation {
     /// arrival. Counting the visits keeps a polled scan from ever
     /// registering as a no-op drain, so the profiler's `noop` column
     /// isolates what it is meant to measure: *stale gates*, drains woken
-    /// by the wheel for events that no longer exist.
+    /// for events that no longer exist.
     fn generate_arrivals(&mut self, now: SimTime, series_due: bool) -> u64 {
         let dt_secs = self.config.dt.as_secs_f64();
         let mut produced = 0u64;
@@ -1832,11 +1825,10 @@ impl Simulation {
                     stop_at,
                 } => {
                     if !series_due {
-                        // No series reached its tick (wheel-gated); the
+                        // No series reached its step (gated); the
                         // polling loop's `next <= now` would fail too.
                         continue;
                     }
-                    let armed_at = *next;
                     while *next <= now && stop_at.is_none_or(|s| *next < s) {
                         let binding = self.client_binding(*site);
                         let dc = self.site_dc[*site];
@@ -1863,15 +1855,6 @@ impl Simulation {
                         );
                         produced += 1;
                         *next += *interval;
-                    }
-                    // Re-arm the gate for this source's next launch —
-                    // but only when `next` advanced: a source that did
-                    // not fire still has its earlier gate registered,
-                    // and re-inserting it every due step would flood the
-                    // wheel with duplicates.
-                    if *next != armed_at && stop_at.is_none_or(|s| *next < s) {
-                        let at = *next;
-                        self.gate(EventClass::Series, at);
                     }
                 }
             }
@@ -1906,12 +1889,6 @@ impl Simulation {
             return 0;
         };
         let launches = scheduler.poll(now);
-        // Re-arm the gate for the post-poll horizon (the poll may have
-        // advanced sync schedules and accrued index backlog).
-        let next = scheduler.next_due();
-        if let Some(next) = next {
-            self.gate(EventClass::Background, next);
-        }
         let n = launches.len() as u64;
         for launch in launches {
             self.launch_background(launch, now);
@@ -1922,12 +1899,6 @@ impl Simulation {
     /// Applies scheduled WAN failures/restores due at or before `now`.
     /// Returns the number applied.
     fn apply_link_events(&mut self, now: SimTime) -> u64 {
-        if self.link_events.is_empty() {
-            // Queue already empty: this drain ran on a stale gate (or a
-            // poll); retire whatever gates remain outstanding.
-            self.cancel_empty_class(EventClass::Health);
-            return 0;
-        }
         let due: Vec<(SimTime, HealthEvent)> = {
             let (due, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut self.link_events)
                 .into_iter()
@@ -1964,11 +1935,6 @@ impl Simulation {
                     .push(HealthEventError { at: now, reason });
             }
         }
-        if self.link_events.is_empty() {
-            // The drain consumed the last scheduled health event; any
-            // outstanding gates of the class are stale.
-            self.cancel_empty_class(EventClass::Health);
-        }
         n
     }
 
@@ -1992,15 +1958,6 @@ impl Simulation {
         let n = due.len() as u64;
         for (idx, target, action) in due {
             self.apply_fault(idx, target, action, now);
-        }
-        if self
-            .faults
-            .as_ref()
-            .is_some_and(|f| f.cursor == f.events.len())
-        {
-            // Plan exhausted: no fault event will ever be due again, so
-            // any outstanding gate of the class is stale.
-            self.cancel_empty_class(EventClass::Faults);
         }
         n
     }
@@ -2360,18 +2317,6 @@ impl Simulation {
     /// Launches pending retries whose backoff has elapsed. Returns the
     /// number launched.
     fn launch_due_retries(&mut self, now: SimTime) -> u64 {
-        if self
-            .faults
-            .as_ref()
-            .expect("fault runtime installed")
-            .pending_retries
-            .is_empty()
-        {
-            // Nothing pending: this drain ran on a stale gate (or a
-            // poll); retire whatever retry gates remain outstanding.
-            self.cancel_empty_class(EventClass::Retries);
-            return 0;
-        }
         let due: Vec<PendingRetry> = {
             let f = self.faults.as_mut().expect("fault runtime installed");
             let (due, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut f.pending_retries)
@@ -2395,15 +2340,6 @@ impl Simulation {
                 r.first_launched_at,
                 r.trace_root,
             );
-        }
-        if self
-            .faults
-            .as_ref()
-            .is_some_and(|f| f.pending_retries.is_empty())
-        {
-            // Every pending retry launched (and launching queued no new
-            // ones), so the gates of the launched batch are now stale.
-            self.cancel_empty_class(EventClass::Retries);
         }
         n
     }
@@ -2433,17 +2369,6 @@ impl Simulation {
         let n = due.len() as u64;
         for id in due {
             self.fail_instance(id, "timeout", now);
-        }
-        // Re-arm at the surviving head. The popped batch may have been
-        // entirely dead entries (no `fail_instance` call re-arms then),
-        // and the survivors' insert-time gates may have been retired by
-        // an earlier generation cancel — without this, the head would
-        // only fire once some unrelated retirement re-armed the class
-        // (the invariant auditor's wheel-gate check pins this).
-        if let (Some(w), Some(f)) = (&mut self.wheel, &self.faults) {
-            if let Some(&std::cmp::Reverse((t_us, _))) = f.timeouts.peek() {
-                w.schedule_at_micros(EventClass::Timeouts, t_us);
-            }
         }
         n
     }
@@ -2486,8 +2411,7 @@ impl Simulation {
                 o.on_half_cancelled(inst_id, Some(why), now_us);
             }
             self.cancel_hedge_loser(inst_id, p, now);
-            self.cancel_stale_timeout_gates();
-            self.cancel_stale_hedge_gates();
+            self.retire_dead_timers();
             return;
         }
         let Some(inst) = self.flight.instances.remove(&inst_id) else {
@@ -2546,11 +2470,9 @@ impl Simulation {
         }
         if inst.kind == InstanceKind::Client {
             // The failed attempt's timeout entry is dead (whether it
-            // expired or the instance was evicted before its deadline);
-            // retire stale gates and re-arm at the surviving head. Same
-            // for its hedge timer, when hedging is on.
-            self.cancel_stale_timeout_gates();
-            self.cancel_stale_hedge_gates();
+            // expired or the instance was evicted before its deadline),
+            // and so is its hedge timer, when hedging is on.
+            self.retire_dead_timers();
         }
         if will_retry {
             self.report.faults.retried_operations += 1;
@@ -2579,18 +2501,6 @@ impl Simulation {
     /// Issues hedge twins for client attempts whose hedge delay elapsed
     /// without a settle. Returns the number of twins launched.
     fn launch_due_hedges(&mut self, now: SimTime) -> u64 {
-        if self
-            .resilience
-            .as_ref()
-            .expect("resilience runtime installed")
-            .hedges
-            .is_empty()
-        {
-            // Nothing armed: this drain ran on a stale gate (or a
-            // poll); retire whatever hedge gates remain outstanding.
-            self.cancel_empty_class(EventClass::Hedges);
-            return 0;
-        }
         let now_us = now.as_micros();
         let mut due: Vec<u64> = Vec::new();
         {
@@ -2611,24 +2521,6 @@ impl Simulation {
         let n = due.len() as u64;
         for id in due {
             self.launch_hedge_twin(id, now);
-        }
-        if self
-            .resilience
-            .as_ref()
-            .is_some_and(|r| r.hedges.is_empty())
-        {
-            // Every armed hedge fired (and twins arm no timers of their
-            // own), so the gates of the fired batch are now stale.
-            self.cancel_empty_class(EventClass::Hedges);
-        } else if let (Some(w), Some(r)) = (&mut self.wheel, &self.resilience) {
-            // Survivors remain: re-arm at the head. Its insert-time gate
-            // may have been retired by an earlier generation cancel, and
-            // waiting for the next instance retirement to re-arm would
-            // leave the head uncovered (the invariant auditor's
-            // wheel-gate check pins this).
-            if let Some(&std::cmp::Reverse((t_us, _))) = r.hedges.peek() {
-                w.schedule_at_micros(EventClass::Hedges, t_us);
-            }
         }
         n
     }
@@ -2740,33 +2632,6 @@ impl Simulation {
                 survivor.chain = loser.chain;
                 survivor.session = loser.session;
             }
-        }
-    }
-
-    /// Retires stale [`EventClass::Hedges`] gates after an instance left
-    /// the flight table: pops the hedge heap's dead prefix, bumps the
-    /// class generation and re-arms at the surviving head — the exact
-    /// mirror of [`Self::cancel_stale_timeout_gates`], with the same
-    /// inductive invariant (every primary launch arms its own hedge
-    /// timer, so re-arming at the post-removal head keeps every live
-    /// timer covered by a gate at or before its tick).
-    fn cancel_stale_hedge_gates(&mut self) {
-        let Some(w) = &mut self.wheel else { return };
-        let Some(r) = &mut self.resilience else {
-            return;
-        };
-        if r.policies.hedge.is_none() {
-            return;
-        }
-        while let Some(&std::cmp::Reverse((_, id))) = r.hedges.peek() {
-            if self.flight.instances.contains_key(&id) {
-                break;
-            }
-            r.hedges.pop();
-        }
-        w.cancel_class(EventClass::Hedges);
-        if let Some(&std::cmp::Reverse((t_us, _))) = r.hedges.peek() {
-            w.schedule_at_micros(EventClass::Hedges, t_us);
         }
     }
 
@@ -3498,7 +3363,7 @@ impl Simulation {
 
     /// Restricts traffic generation to the sites whose engine index is
     /// flagged in `owned`, dropping sources left with no sites. Must run
-    /// before the first step (no sessions yet, wheel unprimed).
+    /// before the first step (no sessions yet, gates unprimed).
     pub(crate) fn retain_sites(&mut self, owned: &[bool]) {
         debug_assert!(
             self.sessions.is_empty(),
@@ -3688,11 +3553,9 @@ impl Simulation {
             InstanceKind::Client => {
                 self.breaker_on_success(inst.binding.client, inst.binding.master);
                 // The completed attempt's timeout and hedge entries are
-                // now dead; retire their gates (and any other stale
-                // ones) before the chain's next operation arms fresh
-                // ones.
-                self.cancel_stale_timeout_gates();
-                self.cancel_stale_hedge_gates();
+                // now dead; drop them before the chain's next operation
+                // arms fresh ones.
+                self.retire_dead_timers();
                 let mut continued = false;
                 if let Some(mut chain) = inst.chain {
                     if !chain.remaining.is_empty() {
@@ -3891,11 +3754,12 @@ impl Simulation {
 // Checkpoint support. Impls live here because every runtime struct has
 // private fields. Three members are deliberately not serialized:
 //
-// * `wheel` — the timer wheel is a pure scheduling index over the
-//   canonical containers (fault schedule, retry/timeout/hedge/churn
-//   heaps, session wakes, series cursors, background horizon); a
-//   restored engine starts with `wheel = None` and re-primes it lazily
-//   at its next step, which drains exactly what a polled run would.
+// * `next_due_us` — the gates are a pure function of the canonical
+//   stores (fault schedule, retry/timeout/hedge/churn heaps, session
+//   wakes, series cursors, background horizon); a restored engine
+//   starts with `next_due_us = None` and rebuilds them from
+//   `head_us` at its next step, which drains exactly what a polled
+//   run would.
 // * `profiler` — wall-clock observation, never simulation state.
 // * `config.executor` — thread pools cannot cross a process boundary;
 //   the CLI re-applies its executor flags after restore.
@@ -4024,10 +3888,9 @@ impl gdisim_snap::Snap for Simulation {
             active_scratch: Vec::new(),
             completed_scratch: Vec::new(),
             always_poll: gdisim_snap::Snap::load(r)?,
-            wheel: None,
+            next_due_us: None,
             polled_sources: gdisim_snap::Snap::load(r)?,
             profiler: None,
-            cancelled_seen: [0; EventClass::ALL.len()],
             churn: gdisim_snap::Snap::load(r)?,
             resilience: gdisim_snap::Snap::load(r)?,
             orphans: gdisim_snap::Snap::load(r)?,
@@ -4036,5 +3899,27 @@ impl gdisim_snap::Snap for Simulation {
             panic_at: None,
             optrace: None,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn class_count_matches_profiler_slots() {
+        // The obs profiler is EventClass-agnostic; its drain-slot count
+        // must track this enum.
+        assert_eq!(EventClass::ALL.len(), gdisim_obs::NUM_CLASSES);
+    }
+
+    #[test]
+    fn class_indices_are_dense_and_labels_unique() {
+        for (i, c) in EventClass::ALL.iter().enumerate() {
+            assert_eq!(c.index(), i);
+        }
+        let labels: std::collections::BTreeSet<_> =
+            EventClass::ALL.iter().map(|c| c.label()).collect();
+        assert_eq!(labels.len(), EventClass::ALL.len());
     }
 }

@@ -16,15 +16,11 @@
 //! a run with an *empty* plan is bit-identical to a run with no plan at
 //! all.
 //!
-//! Timer-wheel interplay: the engine arms a wheel gate per fault event,
-//! per pending retry batch and per client timeout deadline, and retires
-//! those gates through the wheel's generation counters the moment their
-//! canonical source empties — the plan cursor reaching the end, the
-//! retry queue draining, or an attempt leaving the flight table before
-//! its deadline. Cancellation is a pure scheduling optimization: the
-//! canonical containers here (event list, retry heap, timeout heap)
-//! remain the source of truth, so a cancelled-then-re-armed gate drains
-//! exactly what a polled run would.
+//! Gate interplay: the engine's next-due gates for the fault, retry and
+//! timeout classes are read from the canonical containers here (the
+//! event list's cursor, the retry vector, the timeout heap) after each
+//! drain and whenever an attempt leaves the flight table, so a gated
+//! run drains exactly what a polled run would.
 
 use gdisim_types::{SimTime, TierKind};
 use gdisim_workload::RetryPolicy;

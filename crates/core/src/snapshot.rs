@@ -8,9 +8,9 @@
 //! fault/churn/resilience runtimes, report accumulators and (under
 //! sharding) per-shard state plus the undelivered window mail — so a
 //! run resumed from a checkpoint produces output bit-identical to the
-//! uninterrupted run. The timer wheel is deliberately absent: it is a
-//! pure scheduling index and the restored engine re-primes it from the
-//! canonical containers at its next step.
+//! uninterrupted run. The next-due gates are deliberately absent: they
+//! are a pure function of the canonical stores, and the restored engine
+//! rebuilds them from those stores at its next step.
 //!
 //! Writes are atomic: the bytes land in a `.tmp` sibling which is then
 //! renamed over the final path, so a crash mid-write can never leave a

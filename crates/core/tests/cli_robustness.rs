@@ -227,3 +227,26 @@ fn corrupt_checkpoint_is_a_typed_error() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+#[test]
+fn deeply_nested_fault_plan_is_a_typed_error() {
+    // 200k unclosed `[` would recurse an unbounded JSON parser off the
+    // stack and abort the process (SIGABRT, exit 134) before any error
+    // path runs.
+    let scratch = Scratch::new("deep-json");
+    let path = PathBuf::from(scratch.path()).join("deep.json");
+    std::fs::write(&path, "[".repeat(200_000)).unwrap();
+    let out = gdisim(&[
+        "run",
+        "--scenario",
+        "faulted",
+        "--faults",
+        path.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "killed by a signal? {stderr}");
+    assert!(
+        stderr.contains("error: fault plan does not parse: recursion limit exceeded"),
+        "{stderr}"
+    );
+}

@@ -108,7 +108,6 @@ mod tests {
         prof.mark_phase(PHASE_ADVANCE);
         prof.end_step(2);
         prof.note_drain(0, true, true, 3);
-        prof.note_cancelled(0, 2);
         prof.sample_occupancy(1.0, 2.0);
         let mut reg = MetricsRegistry::new();
         reg.set_counter("ops.completed", 9);
@@ -134,7 +133,7 @@ mod tests {
         let drain_a = doc.get("drains").unwrap().get("a").unwrap();
         assert_eq!(drain_a.get("gated").and_then(Value::as_u64), Some(1));
         assert_eq!(drain_a.get("events").and_then(Value::as_u64), Some(3));
-        assert_eq!(drain_a.get("cancelled").and_then(Value::as_u64), Some(2));
+        assert_eq!(drain_a.get("cancelled").and_then(Value::as_u64), Some(0));
         let reg = doc.get("registry").unwrap();
         assert_eq!(
             reg.get("counters")

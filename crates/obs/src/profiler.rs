@@ -18,7 +18,7 @@ use std::time::Instant;
 
 /// Number of instrumented step phases.
 pub const NUM_PHASES: usize = 4;
-/// Phase slot: phase-1 event drains (wheel advance + arrivals + daemons).
+/// Phase slot: phase-1 event drains (gated drains + arrivals + daemons).
 pub const PHASE_DRAIN: usize = 0;
 /// Phase slot: phase-2 time increment (executor + memory advance).
 pub const PHASE_ADVANCE: usize = 1;
@@ -36,18 +36,16 @@ pub const NUM_CLASSES: usize = 9;
 /// Per-event-class drain accounting over a run.
 ///
 /// Every step, each class's drain is either skipped (gate closed) or run
-/// (gate fired, or polling mode); a run that processed zero events is
+/// (gate due, or polling mode); a run that processed zero events is
 /// additionally a no-op — on the gated path that means a *stale gate*:
-/// the wheel said "due" but the canonical container had nothing (e.g. a
+/// the gate said "due" but the canonical container had nothing (e.g. a
 /// timeout that completed before expiring). `noop` is the measured
-/// quantity behind the ROADMAP "stale gates" question; `cancelled`
-/// counts the stale gates the wheel's generation counters retired
-/// *before* they could wake a no-op drain.
+/// quantity behind the ROADMAP "stale gates" question.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DrainStats {
-    /// Steps where the drain did not run (wheel gate closed).
+    /// Steps where the drain did not run (gate closed).
     pub skipped: u64,
-    /// Steps where the drain ran because its wheel gate fired.
+    /// Steps where the drain ran because its gate was due.
     pub gated: u64,
     /// Steps where the drain ran unconditionally (polling mode).
     pub polled: u64,
@@ -55,8 +53,9 @@ pub struct DrainStats {
     pub noop: u64,
     /// Total events processed by the drain.
     pub events: u64,
-    /// Stale gates dropped by generation-counter cancellation instead
-    /// of firing (would have been `noop` runs without cancellation).
+    /// Always 0. The engine's gates are refreshed in place from the
+    /// canonical stores, so no gate is ever cancelled; the field is kept
+    /// only because the perf ledger's pinned build reads it.
     pub cancelled: u64,
 }
 
@@ -212,7 +211,7 @@ impl StepProfiler {
     }
 
     /// Accounts one phase-1 drain: `ran` says whether the drain executed
-    /// at all, `gated` whether a wheel gate (as opposed to unconditional
+    /// at all, `gated` whether a gate (as opposed to unconditional
     /// polling) let it through, `processed` how many events it handled.
     #[inline]
     pub fn note_drain(&mut self, class: usize, ran: bool, gated: bool, processed: u64) {
@@ -230,14 +229,6 @@ impl StepProfiler {
             d.noop += 1;
         }
         d.events += processed;
-    }
-
-    /// Accounts `n` cancelled (generation-retired) gates for a class.
-    /// The engine reports deltas of the wheel's monotone per-class
-    /// cancellation counters once per step.
-    #[inline]
-    pub fn note_cancelled(&mut self, class: usize, n: u64) {
-        self.drains[class].cancelled += n;
     }
 
     /// Pushes an occupancy sample `(sim time secs, active agents)`.
@@ -353,14 +344,13 @@ mod tests {
         p.note_drain(0, true, true, 0); // gated, stale (no-op)
         p.note_drain(0, true, false, 2); // polled, productive
         p.note_drain(0, true, false, 0); // polled no-op
-        p.note_cancelled(0, 3); // stale gates retired before firing
         let d = p.drain_stats(0);
         assert_eq!(d.skipped, 1);
         assert_eq!(d.gated, 2);
         assert_eq!(d.polled, 2);
         assert_eq!(d.noop, 2);
         assert_eq!(d.events, 7);
-        assert_eq!(d.cancelled, 3);
+        assert_eq!(d.cancelled, 0, "nothing ever cancels a gate");
         assert_eq!(d.runs(), 4);
         // Other classes untouched.
         assert_eq!(p.drain_stats(1), DrainStats::default());

@@ -140,9 +140,16 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
 
 // ----- parsing -----------------------------------------------------------
 
+/// Deepest array/object nesting the parser accepts (the limit real
+/// serde_json uses). The parser recurses once per level, so without a
+/// bound a few hundred kilobytes of `[` overflow the stack.
+pub const RECURSION_LIMIT: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -150,7 +157,20 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         }
+    }
+
+    /// Parses one container body with the nesting depth raised by one,
+    /// failing instead of recursing past [`RECURSION_LIMIT`].
+    fn nested(&mut self, body: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == RECURSION_LIMIT {
+            return Err(self.err("recursion limit exceeded"));
+        }
+        self.depth += 1;
+        let v = body(self);
+        self.depth -= 1;
+        v
     }
 
     fn err(&self, msg: &str) -> Error {
@@ -217,8 +237,8 @@ impl<'a> Parser<'a> {
                 }
             }
             b'"' => self.parse_string().map(Value::Str),
-            b'[' => self.parse_array(),
-            b'{' => self.parse_object(),
+            b'[' => self.nested(Self::parse_array),
+            b'{' => self.nested(Self::parse_object),
             b'-' | b'0'..=b'9' => self.parse_number(),
             c => Err(self.err(&format!("unexpected character `{}`", c as char))),
         }
@@ -453,6 +473,27 @@ mod tests {
     fn rejects_trailing_garbage() {
         assert!(from_str::<u64>("42 x").is_err());
         assert!(parse_value("{").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let at_limit = format!(
+            "{}{}",
+            "[".repeat(RECURSION_LIMIT),
+            "]".repeat(RECURSION_LIMIT)
+        );
+        assert!(parse_value(&at_limit).is_ok());
+        let past = format!("{{\"a\": {at_limit}}}");
+        let err = parse_value(&past).unwrap_err();
+        assert!(
+            err.to_string().contains("recursion limit exceeded"),
+            "{err}"
+        );
+        let err = parse_value(&"[".repeat(200_000)).unwrap_err();
+        assert!(
+            err.to_string().contains("recursion limit exceeded"),
+            "{err}"
+        );
     }
 
     #[test]
