@@ -1706,6 +1706,17 @@ impl Simulation {
             self.active_scratch.len() as u64
         };
         if let Some(p) = &mut self.profiler {
+            // Per-kind tick counts, for phase-2 attribution by kind.
+            let infra = &self.infra;
+            let kind_of =
+                |agent: usize| infra.meta(gdisim_types::AgentId::from_index(agent)).kind as usize;
+            if self.tick_all {
+                (0..infra.agent_count()).for_each(|a| p.note_agent_tick(kind_of(a)));
+            } else {
+                for &a in &self.active_scratch {
+                    p.note_agent_tick(kind_of(a as usize));
+                }
+            }
             p.mark_phase(PHASE_ROUTE);
         }
 
@@ -3911,6 +3922,25 @@ mod tests {
         // The obs profiler is EventClass-agnostic; its drain-slot count
         // must track this enum.
         assert_eq!(EventClass::ALL.len(), gdisim_obs::NUM_CLASSES);
+    }
+
+    #[test]
+    fn kind_slots_match_profiler_names() {
+        // The profiler counts ticks in `ComponentKind` discriminant order.
+        use gdisim_infra::ComponentKind as K;
+        let kinds = [
+            (K::Cpu, "cpu"),
+            (K::Nic, "nic"),
+            (K::Switch, "switch"),
+            (K::Link, "link"),
+            (K::Raid, "raid"),
+            (K::San, "san"),
+            (K::ClientPool, "client"),
+        ];
+        assert_eq!(kinds.len(), gdisim_obs::NUM_KINDS);
+        for (kind, name) in kinds {
+            assert_eq!(gdisim_obs::KIND_NAMES[kind as usize], name);
+        }
     }
 
     #[test]

@@ -29,7 +29,11 @@ pub const MAGIC: [u8; 8] = *b"GDISNAP\0";
 
 /// Current checkpoint format version. Bump on any encoding change —
 /// the loader refuses other versions rather than misreading them.
-pub const VERSION: u32 = 1;
+///
+/// v2: storage stations share one disk-array encoding (one entry per
+/// in-flight request, a tick counter and a per-queue idle-credit
+/// stamp), and links carry their reusable completion buffer.
+pub const VERSION: u32 = 2;
 
 /// Checkpoint identity: enough to refuse a resume under mismatched
 /// flags and to label crash reports.
@@ -287,6 +291,19 @@ mod tests {
         assert!(matches!(
             Snapshot::from_bytes(&w.into_bytes()),
             Err(SnapshotError::BadVersion(v)) if v == VERSION + 1
+        ));
+    }
+
+    #[test]
+    fn rejects_v1_checkpoints() {
+        // v1 predates the disk-array encoding; its station bytes would
+        // misdecode, so the header alone must refuse it.
+        let mut w = SnapWriter::new();
+        w.put_raw(&MAGIC);
+        w.put_u32(1);
+        assert!(matches!(
+            Snapshot::from_bytes(&w.into_bytes()),
+            Err(SnapshotError::BadVersion(1))
         ));
     }
 

@@ -11,13 +11,14 @@
 //!   "phases": {"drain": {"wall_ns": ..., "share": ...}, ...},
 //!   "step_ns": {"count": ..., "p50": ..., "buckets": [[lo, hi, n], ...]},
 //!   "drains": {"faults": {"skipped": ..., "gated": ..., "noop": ..., "cancelled": ...}, ...},
-//!   "active_set": {"mean": ..., "max": ..., "series": [[t_secs, n], ...]},
+//!   "active_set": {"mean": ..., "max": ..., "series": [[t_secs, n], ...],
+//!                  "ticks_by_kind": {"cpu": ..., "nic": ..., ..., "client": ...}},
 //!   "spans": {"recorded": ..., "dropped": ...},
 //!   "registry": {"counters": {...}, "gauges": {...}, "histograms": {...}}
 //! }
 //! ```
 
-use crate::profiler::{DrainStats, StepProfile, PHASE_NAMES};
+use crate::profiler::{DrainStats, StepProfile, KIND_NAMES, PHASE_NAMES};
 use gdisim_metrics::MetricsRegistry;
 use serde::Value;
 
@@ -58,6 +59,11 @@ pub fn profile_to_value(p: &StepProfile, registry: Option<&MetricsRegistry>) -> 
         .iter()
         .map(|&(t, v)| Value::Array(vec![Value::F64(t), Value::F64(v)]))
         .collect();
+    let ticks_by_kind = KIND_NAMES
+        .iter()
+        .zip(p.ticks_by_kind.iter())
+        .map(|(name, &n)| ((*name).to_string(), Value::U64(n)))
+        .collect();
     let mut doc = vec![
         ("schema".into(), Value::Str("gdisim.profile.v1".into())),
         ("steps".into(), Value::U64(p.steps)),
@@ -71,6 +77,7 @@ pub fn profile_to_value(p: &StepProfile, registry: Option<&MetricsRegistry>) -> 
                 ("mean".into(), Value::F64(p.occupancy_mean)),
                 ("max".into(), Value::U64(p.occupancy_max)),
                 ("series".into(), Value::Array(series)),
+                ("ticks_by_kind".into(), Value::Object(ticks_by_kind)),
             ]),
         ),
         (
@@ -130,6 +137,10 @@ mod tests {
             doc.get("schema").and_then(Value::as_str),
             Some("gdisim.profile.v1")
         );
+        let by_kind = doc.get("active_set").unwrap().get("ticks_by_kind").unwrap();
+        for name in KIND_NAMES {
+            assert!(by_kind.get(name).is_some(), "missing kind {name}");
+        }
         let drain_a = doc.get("drains").unwrap().get("a").unwrap();
         assert_eq!(drain_a.get("gated").and_then(Value::as_u64), Some(1));
         assert_eq!(drain_a.get("events").and_then(Value::as_u64), Some(3));

@@ -40,6 +40,6 @@ pub use optrace::{
     HalfSpan, HopSeg, MsgSpan, OpRecord, OpStatus, OptraceCounters,
 };
 pub use profiler::{
-    DrainStats, Span, StepProfile, StepProfiler, NUM_CLASSES, NUM_PHASES, PHASE_ADVANCE,
-    PHASE_COLLECT, PHASE_DRAIN, PHASE_NAMES, PHASE_ROUTE,
+    DrainStats, Span, StepProfile, StepProfiler, KIND_NAMES, NUM_CLASSES, NUM_KINDS, NUM_PHASES,
+    PHASE_ADVANCE, PHASE_COLLECT, PHASE_DRAIN, PHASE_NAMES, PHASE_ROUTE,
 };

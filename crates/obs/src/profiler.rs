@@ -29,6 +29,13 @@ pub const PHASE_COLLECT: usize = 3;
 /// Stable phase names for export artifacts, indexed by phase slot.
 pub const PHASE_NAMES: [&str; NUM_PHASES] = ["drain", "advance", "route", "collect"];
 
+/// Number of agent kinds the profiler counts ticks for.
+pub const NUM_KINDS: usize = 7;
+/// Stable agent-kind names for export artifacts, indexed by kind slot.
+/// The order is the engine's component-kind order (pinned by a test in
+/// `core`).
+pub const KIND_NAMES: [&str; NUM_KINDS] = ["cpu", "nic", "switch", "link", "raid", "san", "client"];
+
 /// Number of phase-1 drain classes the profiler tracks. Must equal the
 /// engine's `EventClass::ALL.len()` (pinned by a test in `core`).
 pub const NUM_CLASSES: usize = 9;
@@ -98,6 +105,9 @@ pub struct StepProfile {
     pub occupancy_mean: f64,
     /// Peak active-set occupancy.
     pub occupancy_max: u64,
+    /// Agent ticks per kind slot (see [`KIND_NAMES`]); sums to the
+    /// occupancy total over all profiled steps.
+    pub ticks_by_kind: [u64; NUM_KINDS],
     /// Occupancy samples taken at collection boundaries:
     /// `(sim time secs, active agents)`.
     pub occupancy_series: Vec<(f64, f64)>,
@@ -118,6 +128,7 @@ pub struct StepProfiler {
     drains: [DrainStats; NUM_CLASSES],
     occ_sum: u64,
     occ_max: u64,
+    ticks_by_kind: [u64; NUM_KINDS],
     occ_series: Vec<(f64, f64)>,
     spans: Vec<Span>,
     span_cap: usize,
@@ -152,6 +163,7 @@ impl StepProfiler {
             drains: [DrainStats::default(); NUM_CLASSES],
             occ_sum: 0,
             occ_max: 0,
+            ticks_by_kind: [0; NUM_KINDS],
             occ_series: Vec::new(),
             spans: Vec::with_capacity(span_cap),
             span_cap,
@@ -208,6 +220,12 @@ impl StepProfiler {
         self.steps += 1;
         self.occ_sum += active;
         self.occ_max = self.occ_max.max(active);
+    }
+
+    /// Counts one agent tick of kind slot `kind` (see [`KIND_NAMES`]).
+    #[inline]
+    pub fn note_agent_tick(&mut self, kind: usize) {
+        self.ticks_by_kind[kind] += 1;
     }
 
     /// Accounts one phase-1 drain: `ran` says whether the drain executed
@@ -282,6 +300,7 @@ impl StepProfiler {
                 .collect(),
             occupancy_mean: self.occupancy_mean(),
             occupancy_max: self.occ_max,
+            ticks_by_kind: self.ticks_by_kind,
             occupancy_series: self.occ_series.clone(),
             spans_recorded: self.spans.len() as u64,
             spans_dropped: self.spans_dropped,
@@ -354,6 +373,16 @@ mod tests {
         assert_eq!(d.runs(), 4);
         // Other classes untouched.
         assert_eq!(p.drain_stats(1), DrainStats::default());
+    }
+
+    #[test]
+    fn agent_ticks_are_counted_per_kind() {
+        let mut p = StepProfiler::new();
+        p.note_agent_tick(0);
+        p.note_agent_tick(5);
+        p.note_agent_tick(5);
+        let profile = p.profile(&["a", "b", "c", "d", "e", "f", "g", "h", "i"]);
+        assert_eq!(profile.ticks_by_kind, [1, 0, 0, 0, 0, 2, 0]);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! cycles for CPUs, bytes for NICs, switches, links, RAIDs and SANs.
 
 mod cpu;
+mod disk_array;
 mod link;
 mod memory;
 mod nic;

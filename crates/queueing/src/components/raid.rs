@@ -6,13 +6,13 @@
 //! striped equally over `n` disks; each disk is a two-stage pipeline of
 //! its controller cache `Qdcc` (whose hits bypass the platter) and the
 //! drive `Qhdd`. The request completes when every stripe has been served.
+//! The fork-join back end is the `DiskArray` the SAN shares.
 
-use crate::discipline::{FcfsMulti, Station};
+use super::disk_array::{DiskArray, Disks};
+use crate::discipline::Station;
 use crate::job::JobToken;
-use crate::rng::SplitMix64;
 use gdisim_types::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Datasheet specification of a RAID.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -57,38 +57,32 @@ impl RaidSpec {
     }
 }
 
-/// Runtime RAID model.
+/// Runtime RAID model: the array controller cache `Qdacc` in front of
+/// the disk array.
 #[derive(Clone)]
 pub struct RaidModel {
     spec: RaidSpec,
-    dacc: FcfsMulti,
-    disk_ctrl: Vec<FcfsMulti>,
-    disk_drive: Vec<FcfsMulti>,
-    /// Stripe size per in-flight job (needed when a `Qdcc` miss forwards
-    /// the stripe to the drive).
-    stripe_of: HashMap<JobToken, f64>,
-    /// Outstanding stripe count per in-flight forked job.
-    outstanding: HashMap<JobToken, u32>,
-    rng: SplitMix64,
-    scratch: Vec<JobToken>,
+    pub(super) array: DiskArray,
 }
 
 impl RaidModel {
     /// Builds the model from its spec with a deterministic seed.
     pub fn new(spec: RaidSpec, seed: u64) -> Self {
+        let disks = Disks {
+            count: spec.disks,
+            ctrl_rate: spec.disk_ctrl_rate,
+            cache_hit: spec.disk_cache_hit,
+            rate: spec.disk_rate,
+        };
         RaidModel {
-            dacc: FcfsMulti::new(1, spec.array_ctrl_rate),
-            disk_ctrl: (0..spec.disks)
-                .map(|_| FcfsMulti::new(1, spec.disk_ctrl_rate))
-                .collect(),
-            disk_drive: (0..spec.disks)
-                .map(|_| FcfsMulti::new(1, spec.disk_rate))
-                .collect(),
-            stripe_of: HashMap::new(),
-            outstanding: HashMap::new(),
-            rng: SplitMix64::new(seed),
+            array: DiskArray::new(
+                &[spec.array_ctrl_rate],
+                0,
+                spec.array_cache_hit,
+                disks,
+                seed,
+            ),
             spec,
-            scratch: Vec::new(),
         }
     }
 
@@ -99,12 +93,7 @@ impl RaidModel {
 
     /// Average drive utilization since the last collection (resets).
     pub fn collect_drive_utilization(&mut self) -> f64 {
-        let n = self.disk_drive.len() as f64;
-        self.disk_drive
-            .iter_mut()
-            .map(|d| d.collect_utilization())
-            .sum::<f64>()
-            / n
+        self.array.collect_drive_utilization()
     }
 
     /// Nominal zero-contention service time for `bytes`: the expected
@@ -118,99 +107,33 @@ impl RaidModel {
         bytes / self.spec.array_ctrl_rate
             + miss * (stripe / self.spec.disk_ctrl_rate + disk_miss * stripe / self.spec.disk_rate)
     }
-
-    fn join_stripe(
-        outstanding: &mut HashMap<JobToken, u32>,
-        stripe_of: &mut HashMap<JobToken, f64>,
-        token: JobToken,
-        completed: &mut Vec<JobToken>,
-    ) {
-        let remaining = outstanding
-            .get_mut(&token)
-            .expect("stripe completed without a join entry");
-        *remaining -= 1;
-        if *remaining == 0 {
-            outstanding.remove(&token);
-            stripe_of.remove(&token);
-            completed.push(token);
-        }
-    }
 }
 
 impl Station for RaidModel {
     fn enqueue(&mut self, token: JobToken, bytes: f64, now: SimTime) {
-        self.dacc.enqueue(token, bytes, now);
-        self.stripe_of.insert(token, bytes / self.spec.disks as f64);
+        self.array.enqueue(token, bytes, now);
     }
 
     fn tick(&mut self, now: SimTime, dt: SimDuration, completed: &mut Vec<JobToken>) {
-        // Drives first, then disk controllers, then the array controller:
-        // back-to-front so a job advances at most one stage per tick.
-        for i in 0..self.spec.disks as usize {
-            self.scratch.clear();
-            self.disk_drive[i].tick(now, dt, &mut self.scratch);
-            for token in self.scratch.drain(..) {
-                Self::join_stripe(&mut self.outstanding, &mut self.stripe_of, token, completed);
-            }
-        }
-        for i in 0..self.spec.disks as usize {
-            self.scratch.clear();
-            self.disk_ctrl[i].tick(now, dt, &mut self.scratch);
-            for token in self.scratch.drain(..) {
-                if self.rng.bernoulli(self.spec.disk_cache_hit) {
-                    Self::join_stripe(&mut self.outstanding, &mut self.stripe_of, token, completed);
-                } else {
-                    let stripe = self.stripe_of[&token];
-                    self.disk_drive[i].enqueue(token, stripe, now);
-                }
-            }
-        }
-        self.scratch.clear();
-        self.dacc.tick(now, dt, &mut self.scratch);
-        let forked = std::mem::take(&mut self.scratch);
-        for token in forked {
-            if self.rng.bernoulli(self.spec.array_cache_hit) {
-                self.stripe_of.remove(&token);
-                completed.push(token);
-            } else {
-                self.outstanding.insert(token, self.spec.disks);
-                let stripe = self.stripe_of[&token];
-                for ctrl in &mut self.disk_ctrl {
-                    ctrl.enqueue(token, stripe, now);
-                }
-            }
-        }
+        self.array.tick(now, dt, completed);
     }
 
     fn account_idle(&mut self, ticks: u64, dt: SimDuration) {
-        self.dacc.account_idle(ticks, dt);
-        for q in self.disk_ctrl.iter_mut().chain(self.disk_drive.iter_mut()) {
-            q.account_idle(ticks, dt);
-        }
+        self.array.account_idle(ticks, dt);
     }
 
     fn collect_utilization(&mut self) -> f64 {
         // The array controller is the front-end bottleneck the paper
         // reports for disk subsystems; drives are exposed separately.
-        self.dacc.collect_utilization()
+        self.array.collect_utilization()
     }
 
     fn in_system(&self) -> usize {
-        self.stripe_of.len()
+        self.array.in_system()
     }
 
     fn evict_all(&mut self, into: &mut Vec<JobToken>) {
-        let mut discard = Vec::new();
-        self.dacc.evict_all(&mut discard);
-        for q in self.disk_ctrl.iter_mut().chain(self.disk_drive.iter_mut()) {
-            q.evict_all(&mut discard);
-        }
-        // `stripe_of` holds every in-flight job exactly once; sort for
-        // determinism (it is hash-ordered).
-        let mut jobs: Vec<JobToken> = self.stripe_of.drain().map(|(t, _)| t).collect();
-        jobs.sort_unstable();
-        into.append(&mut jobs);
-        self.outstanding.clear();
+        self.array.evict_all(into);
     }
 }
 
@@ -293,9 +216,7 @@ mod tests {
     }
 }
 
-// Checkpoint support. `scratch` is a reusable allocation with no
-// cross-step meaning; it still roundtrips (cheaply empty between steps)
-// so the struct stays fully covered.
+// Checkpoint support.
 gdisim_snap::snap_struct!(RaidSpec {
     disks,
     array_ctrl_rate,
@@ -304,13 +225,4 @@ gdisim_snap::snap_struct!(RaidSpec {
     disk_cache_hit,
     disk_rate,
 });
-gdisim_snap::snap_struct!(RaidModel {
-    spec,
-    dacc,
-    disk_ctrl,
-    disk_drive,
-    stripe_of,
-    outstanding,
-    rng,
-    scratch,
-});
+gdisim_snap::snap_struct!(RaidModel { spec, array });

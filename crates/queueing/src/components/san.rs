@@ -4,14 +4,14 @@
 //! pipelines, but the fork is preceded by three queues: the fibre-channel
 //! switch `Qfcsw`, the disk-array controller cache `Qdacc`, and the
 //! fibre-channel arbitrated loop `Qfcal`. A cache hit in `Qdacc` bypasses
-//! the loop and the fork-join structure.
+//! the loop and the fork-join structure. The fork-join back end is the
+//! `DiskArray` the RAID shares.
 
-use crate::discipline::{FcfsMulti, Station};
+use super::disk_array::{DiskArray, Disks};
+use crate::discipline::Station;
 use crate::job::JobToken;
-use crate::rng::SplitMix64;
 use gdisim_types::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Datasheet specification of a SAN.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -69,49 +69,27 @@ impl SanSpec {
     }
 }
 
-/// Progress of a job through the SAN front-end.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum FrontStage {
-    Switch,
-    ArrayCtrl,
-    Loop,
-}
-
-/// Runtime SAN model.
+/// Runtime SAN model: switch, array controller cache and loop in front
+/// of the disk array.
 #[derive(Clone)]
 pub struct SanModel {
     spec: SanSpec,
-    fcsw: FcfsMulti,
-    dacc: FcfsMulti,
-    fcal: FcfsMulti,
-    disk_ctrl: Vec<FcfsMulti>,
-    disk_drive: Vec<FcfsMulti>,
-    front_stage: HashMap<JobToken, FrontStage>,
-    demand_of: HashMap<JobToken, f64>,
-    outstanding: HashMap<JobToken, u32>,
-    rng: SplitMix64,
-    scratch: Vec<JobToken>,
+    pub(super) array: DiskArray,
 }
 
 impl SanModel {
     /// Builds the model from its spec with a deterministic seed.
     pub fn new(spec: SanSpec, seed: u64) -> Self {
+        let front = [spec.fc_switch_rate, spec.array_ctrl_rate, spec.fc_loop_rate];
+        let disks = Disks {
+            count: spec.disks,
+            ctrl_rate: spec.disk_ctrl_rate,
+            cache_hit: spec.disk_cache_hit,
+            rate: spec.disk_rate,
+        };
         SanModel {
-            fcsw: FcfsMulti::new(1, spec.fc_switch_rate),
-            dacc: FcfsMulti::new(1, spec.array_ctrl_rate),
-            fcal: FcfsMulti::new(1, spec.fc_loop_rate),
-            disk_ctrl: (0..spec.disks)
-                .map(|_| FcfsMulti::new(1, spec.disk_ctrl_rate))
-                .collect(),
-            disk_drive: (0..spec.disks)
-                .map(|_| FcfsMulti::new(1, spec.disk_rate))
-                .collect(),
-            front_stage: HashMap::new(),
-            demand_of: HashMap::new(),
-            outstanding: HashMap::new(),
-            rng: SplitMix64::new(seed),
+            array: DiskArray::new(&front, 1, spec.array_cache_hit, disks, seed),
             spec,
-            scratch: Vec::new(),
         }
     }
 
@@ -122,12 +100,7 @@ impl SanModel {
 
     /// Average drive utilization since the last collection (resets).
     pub fn collect_drive_utilization(&mut self) -> f64 {
-        let n = self.disk_drive.len() as f64;
-        self.disk_drive
-            .iter_mut()
-            .map(|d| d.collect_utilization())
-            .sum::<f64>()
-            / n
+        self.array.collect_drive_utilization()
     }
 
     /// Nominal zero-contention service time for `bytes`: the expected
@@ -146,124 +119,34 @@ impl SanModel {
                     + stripe / self.spec.disk_ctrl_rate
                     + disk_miss * stripe / self.spec.disk_rate)
     }
-
-    fn join_stripe(&mut self, token: JobToken, completed: &mut Vec<JobToken>) {
-        let remaining = self
-            .outstanding
-            .get_mut(&token)
-            .expect("stripe without join entry");
-        *remaining -= 1;
-        if *remaining == 0 {
-            self.outstanding.remove(&token);
-            self.demand_of.remove(&token);
-            completed.push(token);
-        }
-    }
 }
 
 impl Station for SanModel {
     fn enqueue(&mut self, token: JobToken, bytes: f64, now: SimTime) {
-        self.front_stage.insert(token, FrontStage::Switch);
-        self.demand_of.insert(token, bytes);
-        self.fcsw.enqueue(token, bytes, now);
+        self.array.enqueue(token, bytes, now);
     }
 
     fn tick(&mut self, now: SimTime, dt: SimDuration, completed: &mut Vec<JobToken>) {
-        // Back to front: drives, disk controllers, loop, array controller,
-        // FC switch.
-        for i in 0..self.spec.disks as usize {
-            self.scratch.clear();
-            self.disk_drive[i].tick(now, dt, &mut self.scratch);
-            let done = std::mem::take(&mut self.scratch);
-            for token in done {
-                self.join_stripe(token, completed);
-            }
-        }
-        for i in 0..self.spec.disks as usize {
-            self.scratch.clear();
-            self.disk_ctrl[i].tick(now, dt, &mut self.scratch);
-            let done = std::mem::take(&mut self.scratch);
-            for token in done {
-                if self.rng.bernoulli(self.spec.disk_cache_hit) {
-                    self.join_stripe(token, completed);
-                } else {
-                    let stripe = self.demand_of[&token] / self.spec.disks as f64;
-                    self.disk_drive[i].enqueue(token, stripe, now);
-                }
-            }
-        }
-        self.scratch.clear();
-        self.fcal.tick(now, dt, &mut self.scratch);
-        let through_loop = std::mem::take(&mut self.scratch);
-        for token in through_loop {
-            self.front_stage.remove(&token);
-            self.outstanding.insert(token, self.spec.disks);
-            let stripe = self.demand_of[&token] / self.spec.disks as f64;
-            for ctrl in &mut self.disk_ctrl {
-                ctrl.enqueue(token, stripe, now);
-            }
-        }
-        self.scratch.clear();
-        self.dacc.tick(now, dt, &mut self.scratch);
-        let through_ctrl = std::mem::take(&mut self.scratch);
-        for token in through_ctrl {
-            if self.rng.bernoulli(self.spec.array_cache_hit) {
-                self.front_stage.remove(&token);
-                self.demand_of.remove(&token);
-                completed.push(token);
-            } else {
-                self.front_stage.insert(token, FrontStage::Loop);
-                let bytes = self.demand_of[&token];
-                self.fcal.enqueue(token, bytes, now);
-            }
-        }
-        self.scratch.clear();
-        self.fcsw.tick(now, dt, &mut self.scratch);
-        let through_switch = std::mem::take(&mut self.scratch);
-        for token in through_switch {
-            self.front_stage.insert(token, FrontStage::ArrayCtrl);
-            let bytes = self.demand_of[&token];
-            self.dacc.enqueue(token, bytes, now);
-        }
+        self.array.tick(now, dt, completed);
     }
 
     fn account_idle(&mut self, ticks: u64, dt: SimDuration) {
-        self.fcsw.account_idle(ticks, dt);
-        self.dacc.account_idle(ticks, dt);
-        self.fcal.account_idle(ticks, dt);
-        for q in self.disk_ctrl.iter_mut().chain(self.disk_drive.iter_mut()) {
-            q.account_idle(ticks, dt);
-        }
+        self.array.account_idle(ticks, dt);
     }
 
     fn collect_utilization(&mut self) -> f64 {
         // Report the fibre-channel switch, the SAN's entry bottleneck;
-        // drives are exposed separately.
-        let u = self.fcsw.collect_utilization();
-        let _ = self.dacc.collect_utilization();
-        let _ = self.fcal.collect_utilization();
-        u
+        // the controller and loop meters reset alongside it, and drives
+        // are exposed separately.
+        self.array.collect_utilization()
     }
 
     fn in_system(&self) -> usize {
-        self.demand_of.len()
+        self.array.in_system()
     }
 
     fn evict_all(&mut self, into: &mut Vec<JobToken>) {
-        let mut discard = Vec::new();
-        self.fcsw.evict_all(&mut discard);
-        self.dacc.evict_all(&mut discard);
-        self.fcal.evict_all(&mut discard);
-        for q in self.disk_ctrl.iter_mut().chain(self.disk_drive.iter_mut()) {
-            q.evict_all(&mut discard);
-        }
-        // `demand_of` holds every in-flight job exactly once; sort for
-        // determinism (it is hash-ordered).
-        let mut jobs: Vec<JobToken> = self.demand_of.drain().map(|(t, _)| t).collect();
-        jobs.sort_unstable();
-        into.append(&mut jobs);
-        self.front_stage.clear();
-        self.outstanding.clear();
+        self.array.evict_all(into);
     }
 }
 
@@ -351,11 +234,6 @@ mod tests {
 }
 
 // Checkpoint support.
-gdisim_snap::snap_enum!(FrontStage {
-    0 => Switch,
-    1 => ArrayCtrl,
-    2 => Loop,
-});
 gdisim_snap::snap_struct!(SanSpec {
     disks,
     fc_switch_rate,
@@ -366,16 +244,4 @@ gdisim_snap::snap_struct!(SanSpec {
     disk_cache_hit,
     disk_rate,
 });
-gdisim_snap::snap_struct!(SanModel {
-    spec,
-    fcsw,
-    dacc,
-    fcal,
-    disk_ctrl,
-    disk_drive,
-    front_stage,
-    demand_of,
-    outstanding,
-    rng,
-    scratch,
-});
+gdisim_snap::snap_struct!(SanModel { spec, array });

@@ -245,6 +245,32 @@ fn profile_export_parses_with_required_keys_and_exact_phase_sum() {
 }
 
 #[test]
+fn profile_counts_every_agent_tick_by_kind() {
+    // Active-set path: the per-kind counts add up to the occupancy the
+    // profiler already reports, and storage stations show up by kind.
+    let mut sim = validation::build(validation::EXPERIMENTS[0], 42);
+    sim.enable_profiler(0);
+    sim.run_until(SimTime::from_secs(120));
+    let p = sim.step_profile().expect("profiler enabled");
+    let total: u64 = p.ticks_by_kind.iter().sum();
+    assert_eq!(total as f64, (p.occupancy_mean * p.steps as f64).round());
+    let by_name = |name: &str| {
+        let slot = gdisim_obs::KIND_NAMES.iter().position(|k| *k == name);
+        p.ticks_by_kind[slot.expect("known kind")]
+    };
+    assert!(by_name("cpu") > 0 && by_name("san") > 0 && by_name("raid") > 0);
+
+    // Always-tick path: every agent is counted on every step.
+    let mut all = validation::build(validation::EXPERIMENTS[0], 42);
+    all.set_always_tick(true);
+    all.enable_profiler(0);
+    all.run_until(SimTime::from_secs(10));
+    let p = all.step_profile().expect("profiler enabled");
+    let total: u64 = p.ticks_by_kind.iter().sum();
+    assert_eq!(total, p.steps * p.occupancy_max);
+}
+
+#[test]
 fn perfetto_export_is_wellformed_chrome_trace_json() {
     let sim = observed_faulted_run();
     let spans = sim.profiler().expect("profiler enabled").spans();
