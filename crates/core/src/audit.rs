@@ -13,6 +13,10 @@
 //! * **Active-set completeness** — every agent with queued or in-service
 //!   work is an active-set member (skipped under the always-tick loop,
 //!   which has no active set).
+//! * **Sleepers** — the awake list and the sleep calendar are disjoint
+//!   and together are exactly the member flags; every sleeper holds work
+//!   and sits inside its window, `asleep_from <= now < wake_at`, under
+//!   the wake time it is filed by (also skipped under always-tick).
 //! * **Gates never late** — for every phase-1 event class, the engine's
 //!   next-due gate is at or before the earliest event in the class's
 //!   canonical store, so the class's drain cannot run late (skipped
@@ -59,6 +63,38 @@ pub enum InvariantViolation {
         at: SimTime,
         /// Agent index.
         agent: u32,
+    },
+    /// An agent's place in the active set disagrees with its member
+    /// flag: awake and asleep at once, in neither while a member, in one
+    /// while not a member, or awake while its slot says asleep (or the
+    /// reverse).
+    MembershipMismatch {
+        /// Simulation time of the audit.
+        at: SimTime,
+        /// Agent index.
+        agent: u32,
+    },
+    /// A sleeping agent holds no work, so nothing would ever wake it
+    /// for a reason and its retirement is overdue.
+    SleeperWithoutWork {
+        /// Simulation time of the audit.
+        at: SimTime,
+        /// Agent index.
+        agent: u32,
+    },
+    /// A sleeper is outside its window `asleep_from <= now < wake_at`,
+    /// or filed in the calendar under another wake time.
+    SleepWindow {
+        /// Simulation time of the audit.
+        at: SimTime,
+        /// Agent index.
+        agent: u32,
+        /// The slot's first owed tick.
+        asleep_from: SimTime,
+        /// The slot's wake tick.
+        wake_at: SimTime,
+        /// The wake tick the calendar files it under.
+        filed_at: SimTime,
     },
     /// An event class's next-due gate sits later than the earliest
     /// event in its canonical store — the drain would run late.
@@ -110,6 +146,31 @@ impl fmt::Display for InvariantViolation {
                 "t={}s: agent {agent} has work in system but is not in the \
                  active set",
                 at.as_secs_f64()
+            ),
+            InvariantViolation::MembershipMismatch { at, agent } => write!(
+                f,
+                "t={}s: agent {agent} is not in exactly the active-set list \
+                 its member flag and sleep stamps call for",
+                at.as_secs_f64()
+            ),
+            InvariantViolation::SleeperWithoutWork { at, agent } => write!(
+                f,
+                "t={}s: agent {agent} sleeps with no work in system",
+                at.as_secs_f64()
+            ),
+            InvariantViolation::SleepWindow {
+                at,
+                agent,
+                asleep_from,
+                wake_at,
+                filed_at,
+            } => write!(
+                f,
+                "t={}s: sleeper {agent} has window [{}s, {}s) filed at {}s",
+                at.as_secs_f64(),
+                asleep_from.as_secs_f64(),
+                wake_at.as_secs_f64(),
+                filed_at.as_secs_f64()
             ),
             InvariantViolation::LateGate { at, class, head_us } => write!(
                 f,
@@ -224,6 +285,9 @@ gdisim_snap::snap_enum!(InvariantViolation {
     2 => InactiveAgentWithWork { at, agent },
     3 => LateGate { at, class, head_us },
     4 => MailboxSeqGap { at, shard, gaps },
+    5 => MembershipMismatch { at, agent },
+    6 => SleeperWithoutWork { at, agent },
+    7 => SleepWindow { at, agent, asleep_from, wake_at, filed_at },
 });
 gdisim_snap::snap_struct!(AuditState {
     checks,

@@ -974,6 +974,8 @@ impl Simulation {
     /// observability equivalence tests pin this).
     pub fn enable_profiler(&mut self, span_capacity: usize) {
         self.profiler = Some(StepProfiler::with_span_capacity(span_capacity));
+        // Replays counted before now belong to no profile.
+        self.infra.take_replayed();
     }
 
     /// The live profiler, if enabled (spans for Perfetto export).
@@ -1359,6 +1361,7 @@ impl Simulation {
                     });
                 }
             }
+            self.audit_sleepers(at, audit);
         }
 
         // Gates: no class's gate may sit later than its canonical
@@ -1387,6 +1390,30 @@ impl Simulation {
                 });
             }
         }
+    }
+
+    /// Sleeper invariants: the awake list and the calendar partition
+    /// the members, and every sleeper holds work inside its window.
+    fn audit_sleepers(&self, at: SimTime, audit: &mut crate::audit::AuditState) {
+        use crate::audit::InvariantViolation as V;
+        use gdisim_infra::SleepBreach;
+        self.infra.audit_sleep(at, |agent, breach| {
+            audit.record(match breach {
+                SleepBreach::Misplaced => V::MembershipMismatch { at, agent },
+                SleepBreach::NoWork => V::SleeperWithoutWork { at, agent },
+                SleepBreach::OutOfWindow {
+                    asleep_from,
+                    wake_at,
+                    filed_at,
+                } => V::SleepWindow {
+                    at,
+                    agent,
+                    asleep_from,
+                    wake_at,
+                    filed_at,
+                },
+            })
+        });
     }
 
     /// Registers a phase-1 event: pulls the class's gate forward to
@@ -1635,10 +1662,11 @@ impl Simulation {
         }
 
         // Phase 2: time increment (§4.3.4/4.3.5). The fast path ticks only
-        // the agents currently holding work (in ascending index order);
-        // everyone else is provably idle and gets its meter time credited
-        // lazily on re-activation or at the next collection.
-        let executor = self.config.executor.clone();
+        // the awake agents (in ascending index order). Idle agents get
+        // their meter time credited lazily on re-activation or at the
+        // next collection; sleepers replay their quiet ticks when next
+        // touched (DESIGN §4.1).
+        let executor = &self.config.executor;
         let mut active = std::mem::take(&mut self.active_scratch);
         if self.tick_all {
             executor.run_phase(self.infra.components_mut(), move |slot| {
@@ -1647,7 +1675,7 @@ impl Simulation {
         } else {
             self.infra.active_snapshot_into(&mut active);
             executor.run_phase_indexed(self.infra.components_mut(), &active, move |slot| {
-                slot.tick_into_outbox(now, dt);
+                slot.tick_and_plan(now, dt);
             });
         }
         for m in self.infra.memories_mut() {
@@ -1659,9 +1687,9 @@ impl Simulation {
 
         // Phase 3: interactions — route completions, stamped at the next
         // tick boundary (the §4.3.3 consistency guard). Only ticked agents
-        // can hold completions (inactive outboxes are always empty), and
-        // the snapshot is ascending, so the drain order matches the
-        // always-tick loop's full sweep exactly.
+        // can hold completions (inactive and sleeping outboxes are always
+        // empty), and the snapshot is ascending, so the drain order
+        // matches the always-tick loop's full sweep exactly.
         let t_next = now + dt;
         let mut completed = std::mem::take(&mut self.completed_scratch);
         completed.clear();
@@ -1693,11 +1721,13 @@ impl Simulation {
         }
         self.completed_scratch = completed;
 
-        // Retire sweep: agents that went (and stayed) empty leave the
-        // active set with their idle clock starting at the upcoming tick
-        // boundary. Runs after routing so re-fed agents stay members.
+        // Sweep: agents that went (and stayed) empty leave the active set
+        // with their idle clock starting at the upcoming tick boundary,
+        // busy agents with a quiet horizon fall asleep, and sleepers due
+        // at that boundary catch up and wake. Runs after routing so
+        // re-fed agents stay members.
         if !self.tick_all {
-            self.infra.retire_idle(t_next);
+            self.infra.sweep(t_next, dt);
         }
         // Agents ticked this step — the active-set occupancy.
         let ticked = if self.tick_all {
@@ -1721,12 +1751,13 @@ impl Simulation {
         }
 
         // Phase 4: periodic measurement collection. Skipped agents get
-        // their idle span credited first so every meter covers the full
-        // interval before it resets.
+        // their idle span credited and sleepers replay their owed ticks
+        // first, so every meter covers the full interval before it resets.
         if t_next >= self.next_collect {
             if !self.tick_all {
                 self.infra
                     .account_idle_inactive(self.meter_epoch, t_next, dt);
+                self.infra.settle_sleepers(t_next, dt);
             }
             self.collect(t_next);
             self.meter_epoch = t_next;
@@ -1736,6 +1767,10 @@ impl Simulation {
             }
         }
         if let Some(p) = &mut self.profiler {
+            let replayed = self.infra.take_replayed();
+            for (kind, &ticks) in replayed.iter().enumerate() {
+                p.note_replayed(kind, ticks);
+            }
             p.mark_phase(PHASE_COLLECT);
             p.end_step(ticked);
         }
@@ -2239,10 +2274,11 @@ impl Simulation {
         now: SimTime,
     ) {
         let mut evicted: Vec<JobToken> = Vec::new();
+        let dt = self.config.dt;
         match target {
             FaultTarget::WanLink { label } => {
                 if let Some(agent) = self.infra.wan_link_agent(label) {
-                    self.infra.evict_agent(agent, &mut evicted);
+                    self.infra.evict_agent(agent, &mut evicted, now, dt);
                 }
             }
             FaultTarget::Server { site, tier, server } => {
@@ -2253,7 +2289,7 @@ impl Simulation {
                     Some([Some(s.cpu), Some(s.nic), Some(s.lan), s.storage])
                 });
                 for agent in agents.into_iter().flatten().flatten() {
-                    self.infra.evict_agent(agent, &mut evicted);
+                    self.infra.evict_agent(agent, &mut evicted, now, dt);
                 }
             }
             FaultTarget::DataCenter { site } => {
@@ -2261,7 +2297,7 @@ impl Simulation {
                     for i in 0..self.infra.agent_count() {
                         let id = gdisim_types::AgentId::from_index(i);
                         if self.infra.meta(id).dc == dc {
-                            self.infra.evict_agent(id, &mut evicted);
+                            self.infra.evict_agent(id, &mut evicted, now, dt);
                         }
                     }
                 }
@@ -3361,9 +3397,9 @@ impl Simulation {
         self.shard.as_mut().expect("shard ctx").take_outboxes()
     }
 
-    /// The infrastructure (read-only, for shard partitioning and report
-    /// merging).
-    pub(crate) fn infra_ref(&self) -> &Infrastructure {
+    /// The infrastructure, read-only: shard partitioning, report
+    /// merging, and tests that inspect the active set.
+    pub fn infra_ref(&self) -> &Infrastructure {
         &self.infra
     }
 

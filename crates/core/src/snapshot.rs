@@ -33,7 +33,11 @@ pub const MAGIC: [u8; 8] = *b"GDISNAP\0";
 /// v2: storage stations share one disk-array encoding (one entry per
 /// in-flight request, a tick counter and a per-queue idle-credit
 /// stamp), and links carry their reusable completion buffer.
-pub const VERSION: u32 = 2;
+///
+/// v3: each agent slot carries its sleep stamps (`asleep_from`,
+/// `wake_at`), and the active set splits into an awake list and a
+/// calendar of sleepers.
+pub const VERSION: u32 = 3;
 
 /// Checkpoint identity: enough to refuse a resume under mismatched
 /// flags and to label crash reports.
@@ -304,6 +308,20 @@ mod tests {
         assert!(matches!(
             Snapshot::from_bytes(&w.into_bytes()),
             Err(SnapshotError::BadVersion(1))
+        ));
+    }
+
+    #[test]
+    fn rejects_v2_checkpoints() {
+        // v2 predates the sleep stamps; its agent slots and active set
+        // would misdecode, so the header alone must refuse it.
+        let mut w = SnapWriter::new();
+        w.put_raw(&MAGIC);
+        w.put_u32(2);
+        w.put_raw(&[0; 64]);
+        assert!(matches!(
+            Snapshot::from_bytes(&w.into_bytes()),
+            Err(SnapshotError::BadVersion(2))
         ));
     }
 

@@ -108,6 +108,73 @@ fn resume_survives_back_to_back_checkpoints() {
     assert_eq!(want, got, "three chained resumes diverged");
 }
 
+/// Sleepers that owe quiet ticks at `sim`'s current step boundary.
+fn sleepers_owing_ticks(sim: &gdisim_core::Simulation) -> usize {
+    let infra = sim.infra_ref();
+    infra
+        .active_set()
+        .sleepers()
+        .iter()
+        .filter(|&&(_, agent)| {
+            infra.slots()[agent as usize]
+                .sleep_window()
+                .is_some_and(|(asleep_from, _)| asleep_from < sim.now())
+        })
+        .count()
+}
+
+#[test]
+fn resume_with_sleepers_owing_ticks_is_bit_identical() {
+    // A checkpoint between collections, while agents sleep with quiet
+    // ticks still owed: the stamps and the calendar must carry the debt
+    // across the codec so the resumed run replays exactly what the
+    // uninterrupted one does.
+    let (scenario, seed) = ("validation", 42);
+    let horizon = SimTime::from_secs(300);
+
+    let mut uninterrupted = common::build(scenario, seed);
+    uninterrupted.run_until(horizon);
+    let want = encode_serial(scenario, seed, uninterrupted);
+
+    let mut first_leg = common::build(scenario, seed);
+    first_leg.run_until(SimTime::from_millis(100_250));
+    while sleepers_owing_ticks(&first_leg) == 0 {
+        assert!(first_leg.now() < SimTime::from_secs(200), "nothing slept");
+        first_leg.step();
+    }
+    let ckpt_at = first_leg.now();
+    let ckpt = encode_serial(scenario, seed, first_leg);
+    let SnapshotPayload::Serial(mut resumed) = Snapshot::from_bytes(&ckpt)
+        .expect("checkpoint decodes")
+        .payload
+    else {
+        panic!("serial payload expected");
+    };
+    assert!(sleepers_owing_ticks(&resumed) > 0, "debt lost in the codec");
+    resumed.run_until(horizon);
+    let got = encode_serial(scenario, seed, *resumed);
+    assert_eq!(
+        want, got,
+        "resume from t={ckpt_at} with sleepers owing ticks diverged"
+    );
+
+    // And the sleeping run is the dense one, report for report.
+    let mut dense = common::build(scenario, seed);
+    dense.set_always_tick(true);
+    dense.run_until(horizon);
+    let SnapshotPayload::Serial(sleeping) = Snapshot::from_bytes(&want)
+        .expect("final state decodes")
+        .payload
+    else {
+        panic!("serial payload expected");
+    };
+    assert_eq!(
+        report_bytes(dense.report()),
+        report_bytes(sleeping.report()),
+        "sleeping run diverged from the always-tick run"
+    );
+}
+
 #[test]
 fn resume_is_executor_independent() {
     // A checkpoint taken under one executor and resumed under another

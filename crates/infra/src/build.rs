@@ -5,8 +5,8 @@
 //! centers → tiers → servers → agent ids) alongside, and precomputing the
 //! WAN routes between every pair of data centers.
 
-use crate::active::{ticks_between, ActiveSet};
-use crate::component::{AgentSlot, Component, ComponentKind, ComponentMeta};
+use crate::active::{ticks_between, ActiveSet, Fate};
+use crate::component::{AgentSlot, Component, ComponentKind, ComponentMeta, EMPTY};
 use crate::routing::{compute_routes_excluding, Route};
 use crate::spec::{TierStorageSpec, TopologySpec, WanLinkSpec};
 use gdisim_queueing::discipline::InfiniteServer;
@@ -145,6 +145,46 @@ pub struct Infrastructure {
     dc_down: Vec<bool>,
     /// Which agents currently hold work (the engine's fast-path set).
     active: ActiveSet,
+    /// Quiet ticks replayed by sleepers since the last
+    /// [`Infrastructure::take_replayed`].
+    replayed: ReplayCounts,
+}
+
+/// Number of [`ComponentKind`] variants.
+const KINDS: usize = 7;
+
+/// A violated sleep invariant, reported by [`Infrastructure::audit_sleep`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SleepBreach {
+    /// The agent is awake and asleep at once, in neither list while a
+    /// member, in one while not a member, or in a list its slot's stamps
+    /// contradict.
+    Misplaced,
+    /// A sleeper holds no work.
+    NoWork,
+    /// A sleeper is outside `asleep_from <= now < wake_at`, or filed in
+    /// the calendar under another wake time.
+    OutOfWindow {
+        /// The slot's first owed tick.
+        asleep_from: SimTime,
+        /// The slot's wake tick.
+        wake_at: SimTime,
+        /// The wake tick the calendar files it under.
+        filed_at: SimTime,
+    },
+}
+
+/// Replayed quiet ticks per [`ComponentKind`] slot. A work counter for
+/// the profiler, not simulation state: checkpoints neither store nor
+/// restore it.
+#[derive(Clone, Default)]
+struct ReplayCounts([u64; KINDS]);
+
+impl gdisim_snap::Snap for ReplayCounts {
+    fn save(&self, _w: &mut gdisim_snap::SnapWriter) {}
+    fn load(_r: &mut gdisim_snap::SnapReader<'_>) -> Result<Self, gdisim_snap::SnapError> {
+        Ok(ReplayCounts::default())
+    }
 }
 
 impl Infrastructure {
@@ -308,6 +348,7 @@ impl Infrastructure {
             failed_links: Vec::new(),
             dc_down,
             active,
+            replayed: ReplayCounts::default(),
         };
         infra.recompute_routes();
         Ok(infra)
@@ -486,13 +527,28 @@ impl Infrastructure {
             .map(|(_, a)| *a)
     }
 
-    /// Drains every in-flight job out of one agent, pushing the evicted
-    /// tokens onto `into` in the component's deterministic eviction order.
-    /// The agent stays in the active set until the next retire sweep
-    /// notices it went empty, so the active-set invariant (members cover
-    /// every agent holding work) is preserved.
-    pub fn evict_agent(&mut self, agent: AgentId, into: &mut Vec<gdisim_queueing::JobToken>) {
-        self.components[agent.index()].component.evict_all(into);
+    /// Drains every in-flight job out of one agent at tick boundary
+    /// `now`, pushing the evicted tokens onto `into` in the component's
+    /// deterministic eviction order. A sleeper first replays its owed
+    /// ticks and wakes. The agent stays in the active set until the next
+    /// sweep notices it went empty, so the active-set invariant (members
+    /// cover every agent holding work) is preserved.
+    pub fn evict_agent(
+        &mut self,
+        agent: AgentId,
+        into: &mut Vec<gdisim_queueing::JobToken>,
+        now: SimTime,
+        dt: SimDuration,
+    ) {
+        let a = agent.index();
+        let slot = &mut self.components[a];
+        if let Some((_, wake_at)) = slot.sleep_window() {
+            self.replayed.0[self.metas[a].kind as usize] += slot.catch_up(now, dt);
+            slot.wake();
+            self.active.wake(a, wake_at);
+        }
+        slot.component.evict_all(into);
+        slot.clear_plan();
     }
 
     /// Number of agents in the registry.
@@ -646,12 +702,15 @@ impl Infrastructure {
 
     // ----- active-agent set (the engine's fast-path bookkeeping) ---------
 
-    /// Enqueues a job on an agent, activating it in the active set first.
-    /// A newly activated agent has been skipped by the time-increment
-    /// phase since `max(idle_from, epoch)`; that idle span is credited to
-    /// its meters here in one bulk addition (bit-for-bit identical to the
-    /// empty ticks the always-tick loop would have run), where `epoch` is
-    /// the last collection boundary and `dt` the engine time step.
+    /// Enqueues a job on an agent at tick boundary `now`, activating it
+    /// in the active set first. A newly activated agent has been skipped
+    /// by the time-increment phase since `max(idle_from, epoch)`; that
+    /// idle span is credited to its meters here in one bulk addition
+    /// (bit-for-bit identical to the empty ticks the always-tick loop
+    /// would have run), where `epoch` is the last collection boundary and
+    /// `dt` the engine time step. A sleeper first replays its owed ticks;
+    /// after the enqueue it sleeps on until its new horizon ends, or
+    /// wakes when it has none.
     pub fn enqueue_job(
         &mut self,
         agent: AgentId,
@@ -661,21 +720,42 @@ impl Infrastructure {
         epoch: SimTime,
         dt: SimDuration,
     ) {
-        let slot = &mut self.components[agent.index()];
-        if let Some(idle_from) = self.active.activate(agent.index()) {
+        let a = agent.index();
+        let slot = &mut self.components[a];
+        if let Some((_, wake_at)) = slot.sleep_window() {
+            // A sleeper catches up, takes the job, and sleeps on while
+            // the job leaves it a quiet horizon (a job that waits for a
+            // busy server leaves the horizon as it was).
+            self.replayed.0[self.metas[a].kind as usize] += slot.catch_up(now, dt);
+            slot.component.enqueue(token, demand, now);
+            match slot.try_sleep(now, dt) {
+                Some(new_wake) if new_wake != wake_at => {
+                    self.active.reschedule(a, wake_at, new_wake);
+                }
+                Some(_) => {}
+                None => {
+                    slot.wake();
+                    slot.clear_plan();
+                    self.active.wake(a, wake_at);
+                }
+            }
+            return;
+        }
+        if let Some(idle_from) = self.active.activate(a) {
             if let Some(ticks) = ticks_between(idle_from.max(epoch), now, dt) {
                 slot.component.account_idle(ticks, dt);
             }
         }
         slot.component.enqueue(token, demand, now);
+        slot.clear_plan();
     }
 
-    /// Copies the active agents, in strictly ascending order, into `buf`.
+    /// Copies the awake agents, in strictly ascending order, into `buf`.
     pub fn active_snapshot_into(&self, buf: &mut Vec<u32>) {
         self.active.snapshot_into(buf);
     }
 
-    /// Number of currently active agents.
+    /// Number of currently active agents, awake and asleep.
     pub fn active_count(&self) -> usize {
         self.active.len()
     }
@@ -685,13 +765,101 @@ impl Infrastructure {
         self.active.contains(agent)
     }
 
-    /// Drops every active agent that went empty, stamping its idle start
-    /// at tick boundary `t`. Run after the interaction phase has routed
-    /// all completions (and therefore drained every active outbox).
-    pub fn retire_idle(&mut self, t: SimTime) {
-        let components = &self.components;
-        self.active
-            .retire(t, |agent| components[agent].component.in_system() == 0);
+    /// The active set, read-only (audits and tests).
+    pub fn active_set(&self) -> &ActiveSet {
+        &self.active
+    }
+
+    /// All agent slots, read-only (audits and tests).
+    pub fn slots(&self) -> &[AgentSlot] {
+        &self.components
+    }
+
+    /// The end-of-step sweep at tick boundary `t`, run after the
+    /// interaction phase has routed all completions (and therefore
+    /// drained every awake outbox). It follows each awake agent's plan
+    /// (see [`AgentSlot::tick_and_plan`]), which is fresh: every awake
+    /// agent either ticked this step or took a job since, which cleared
+    /// it. An agent that went empty retires, idle from `t`; one whose
+    /// last tick promised quiet ticks from `t` falls asleep until its
+    /// horizon ends. Then the sleepers due at `t` replay their owed ticks
+    /// and wake, to tick for real in the next step.
+    pub fn sweep(&mut self, t: SimTime, dt: SimDuration) {
+        let components = &mut self.components;
+        self.active.sweep(t, |agent| {
+            let slot = &mut components[agent];
+            match slot.plan() {
+                EMPTY => Fate::Retire,
+                0 => Fate::Stay,
+                quiet => Fate::Sleep(slot.sleep(t, quiet, dt)),
+            }
+        });
+        let (metas, replayed) = (&self.metas, &mut self.replayed.0);
+        self.active.wake_due(t, |agent| {
+            let slot = &mut components[agent];
+            replayed[metas[agent].kind as usize] += slot.catch_up(t, dt);
+            slot.wake();
+        });
+    }
+
+    /// Replays every sleeper's ticks owed before `t`, leaving it asleep.
+    /// Run right before a collection so sleepers' meters cover the full
+    /// interval.
+    pub fn settle_sleepers(&mut self, t: SimTime, dt: SimDuration) {
+        for &(_, agent) in self.active.sleepers() {
+            let agent = agent as usize;
+            self.replayed.0[self.metas[agent].kind as usize] +=
+                self.components[agent].catch_up(t, dt);
+        }
+    }
+
+    /// Checks the sleep bookkeeping at tick boundary `now`, calling
+    /// `breach(agent, what)` for every violation: the awake list and the
+    /// calendar must be disjoint and together exactly the members, every
+    /// slot's stamps must agree with the list it is in, and every sleeper
+    /// must hold work and sit inside its window `asleep_from <= now <
+    /// wake_at` under the wake time it is filed by. Read-only; the
+    /// engine's `--paranoid` auditor runs it at every collection.
+    pub fn audit_sleep<F: FnMut(u32, SleepBreach)>(&self, now: SimTime, mut breach: F) {
+        let mut places = vec![0u8; self.components.len()];
+        for &a in self.active.awake() {
+            places[a as usize] += 1;
+            if self.components[a as usize].is_asleep() {
+                breach(a, SleepBreach::Misplaced);
+            }
+        }
+        for &(filed_at, a) in self.active.sleepers() {
+            places[a as usize] += 1;
+            let slot = &self.components[a as usize];
+            let Some((asleep_from, wake_at)) = slot.sleep_window() else {
+                breach(a, SleepBreach::Misplaced);
+                continue;
+            };
+            if slot.component.in_system() == 0 {
+                breach(a, SleepBreach::NoWork);
+            }
+            if !(asleep_from <= now && now < wake_at && wake_at == filed_at) {
+                breach(
+                    a,
+                    SleepBreach::OutOfWindow {
+                        asleep_from,
+                        wake_at,
+                        filed_at,
+                    },
+                );
+            }
+        }
+        for (agent, &n) in places.iter().enumerate() {
+            if n != u8::from(self.active.contains(agent)) {
+                breach(agent as u32, SleepBreach::Misplaced);
+            }
+        }
+    }
+
+    /// Quiet ticks replayed by sleepers since the previous call, per
+    /// [`ComponentKind`] slot (`kind as usize`); resets the counters.
+    pub fn take_replayed(&mut self) -> [u64; KINDS] {
+        std::mem::take(&mut self.replayed.0)
     }
 
     /// Credits the idle span `[max(idle_from, epoch), t)` to every
@@ -722,10 +890,7 @@ impl Builder {
         label: String,
     ) -> AgentId {
         let id = AgentId::from_index(self.components.len());
-        self.components.push(AgentSlot {
-            component,
-            outbox: Vec::new(),
-        });
+        self.components.push(AgentSlot::new(component));
         self.metas.push(ComponentMeta {
             kind,
             dc,
@@ -748,7 +913,7 @@ impl Builder {
 mod tests {
     use super::*;
     use crate::spec::{ClientAccessSpec, DataCenterSpec, TierSpec, WanLinkSpec};
-    use gdisim_queueing::{CpuSpec, LinkSpec, MemorySpec, NicSpec, RaidSpec, SwitchSpec};
+    use gdisim_queueing::{CpuSpec, JobToken, LinkSpec, MemorySpec, NicSpec, RaidSpec, SwitchSpec};
     use gdisim_types::units::{gbps, ghz, mb_per_s};
     use gdisim_types::SimDuration;
 
@@ -886,6 +1051,139 @@ mod tests {
     fn fresh_infrastructure_is_empty() {
         let mut infra = Infrastructure::build(&three_site_spec(), 42).expect("build");
         assert_eq!(infra.total_in_flight(), 0);
+    }
+
+    /// An infrastructure whose NA app CPU sleeps from 10 ms with one
+    /// long job (20 ticks of work, so it is promised 17 quiet ticks).
+    fn one_sleeper() -> (Infrastructure, AgentId) {
+        let mut infra = Infrastructure::build(&three_site_spec(), 42).expect("build");
+        let dt = SimDuration::from_millis(10);
+        let na = infra.dc_by_name("NA").expect("NA");
+        let cpu = infra.pick_server(na, TierKind::App).expect("app server");
+        let cpu = infra.server(cpu).cpu;
+        let rate = match infra.component(cpu) {
+            Component::Cpu(m) => m.spec().clock_hz,
+            _ => unreachable!("server cpu is a CPU"),
+        };
+        let demand = rate * dt.as_secs_f64() * 20.5;
+        infra.enqueue_job(cpu, JobToken(1), demand, SimTime::ZERO, SimTime::ZERO, dt);
+        infra.components_mut()[cpu.index()].tick_and_plan(SimTime::ZERO, dt);
+        infra.sweep(SimTime::from_millis(10), dt);
+        (infra, cpu)
+    }
+
+    fn breaches(infra: &Infrastructure, now: SimTime) -> Vec<(u32, SleepBreach)> {
+        let mut found = Vec::new();
+        infra.audit_sleep(now, |agent, what| found.push((agent, what)));
+        found
+    }
+
+    #[test]
+    fn sleeping_agents_stay_members_and_catch_up_on_touch() {
+        let dt = SimDuration::from_millis(10);
+        let (mut infra, cpu) = one_sleeper();
+        let a = cpu.index();
+        let window = infra.slots()[a].sleep_window();
+        assert_eq!(
+            window,
+            Some((SimTime::from_millis(10), SimTime::from_millis(180)))
+        );
+        assert!(infra.active_contains(a) && infra.active_count() == 1);
+        assert!(infra.active_set().awake().is_empty());
+        assert!(breaches(&infra, SimTime::from_millis(100)).is_empty());
+        // Collection settles the debt but leaves the agent asleep.
+        infra.settle_sleepers(SimTime::from_millis(100), dt);
+        assert_eq!(infra.take_replayed()[ComponentKind::Cpu as usize], 9);
+        assert!(infra.slots()[a].is_asleep());
+        // An enqueue replays the rest owed and wakes it.
+        infra.enqueue_job(
+            cpu,
+            JobToken(2),
+            1.0,
+            SimTime::from_millis(150),
+            SimTime::ZERO,
+            dt,
+        );
+        assert_eq!(infra.take_replayed()[ComponentKind::Cpu as usize], 5);
+        assert!(!infra.slots()[a].is_asleep());
+        assert_eq!(infra.active_set().awake(), &[a as u32]);
+        assert!(breaches(&infra, SimTime::from_millis(150)).is_empty());
+    }
+
+    #[test]
+    fn a_sleeper_sleeps_on_through_an_enqueue_that_leaves_it_quiet() {
+        // A client pool serves every job at once, so a second long job
+        // only moves the wake tick to the shorter of the two horizons.
+        let dt = SimDuration::from_millis(10);
+        let mut infra = Infrastructure::build(&three_site_spec(), 42).expect("build");
+        let na = infra.dc_by_name("NA").expect("NA");
+        let pool = infra.dc(na).client_pool;
+        let rate = match infra.component(pool) {
+            Component::ClientPool(m) => m.rate(),
+            _ => unreachable!("client pool is an infinite server"),
+        };
+        let per_tick = rate * dt.as_secs_f64();
+        let zero = SimTime::ZERO;
+        infra.enqueue_job(pool, JobToken(1), per_tick * 40.5, zero, zero, dt);
+        infra.components_mut()[pool.index()].tick_and_plan(zero, dt);
+        infra.sweep(SimTime::from_millis(10), dt);
+        let window = |infra: &Infrastructure| infra.slots()[pool.index()].sleep_window();
+        assert_eq!(
+            window(&infra),
+            Some((SimTime::from_millis(10), SimTime::from_millis(380)))
+        );
+        let at = SimTime::from_millis(50);
+        infra.enqueue_job(pool, JobToken(2), per_tick * 20.5, at, zero, dt);
+        // Caught up to 50 ms; the new job's 18 quiet ticks come first.
+        assert_eq!(window(&infra), Some((at, SimTime::from_millis(230))));
+        assert_eq!(
+            infra.active_set().sleepers(),
+            &[(SimTime::from_millis(230), pool.index() as u32)]
+        );
+        assert!(infra.active_set().awake().is_empty());
+        assert!(breaches(&infra, at).is_empty());
+    }
+
+    #[test]
+    fn sleep_audit_catches_each_breach() {
+        let (infra, cpu) = one_sleeper();
+        let a = cpu.index() as u32;
+        // Outside the window: at (or past) the wake tick.
+        let late = SimTime::from_millis(180);
+        assert_eq!(
+            breaches(&infra, late),
+            vec![(
+                a,
+                SleepBreach::OutOfWindow {
+                    asleep_from: SimTime::from_millis(10),
+                    wake_at: late,
+                    filed_at: late,
+                }
+            )]
+        );
+        // A sleeper whose work vanished.
+        let mut empty = infra.clone();
+        empty.components_mut()[a as usize]
+            .component
+            .evict_all(&mut Vec::new());
+        assert_eq!(
+            breaches(&empty, SimTime::from_millis(20)),
+            vec![(a, SleepBreach::NoWork)]
+        );
+        // Stamps that contradict the calendar.
+        let mut awake_stamps = infra.clone();
+        awake_stamps.components_mut()[a as usize].wake();
+        assert_eq!(
+            breaches(&awake_stamps, SimTime::from_millis(20)),
+            vec![(a, SleepBreach::Misplaced)]
+        );
+        // Awake and asleep at once.
+        let mut twice = infra.clone();
+        twice.active.insert_awake(a);
+        assert_eq!(
+            breaches(&twice, SimTime::from_millis(20)),
+            vec![(a, SleepBreach::Misplaced), (a, SleepBreach::Misplaced)]
+        );
     }
 
     #[test]
@@ -1036,4 +1334,5 @@ gdisim_snap::snap_struct!(Infrastructure {
     failed_links,
     dc_down,
     active,
+    replayed,
 });

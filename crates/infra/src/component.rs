@@ -127,6 +127,22 @@ impl Station for Component {
         self.station().account_idle(ticks, dt)
     }
 
+    fn quiet_ticks(&self, next: SimTime, dt: SimDuration) -> u64 {
+        match self {
+            Component::Cpu(m) => m.quiet_ticks(next, dt),
+            Component::Nic(m) => m.quiet_ticks(next, dt),
+            Component::Switch(m) => m.quiet_ticks(next, dt),
+            Component::Link(m) => m.quiet_ticks(next, dt),
+            Component::Raid(m) => m.quiet_ticks(next, dt),
+            Component::San(m) => m.quiet_ticks(next, dt),
+            Component::ClientPool(m) => m.quiet_ticks(next, dt),
+        }
+    }
+
+    fn replay_quiet(&mut self, ticks: u64, dt: SimDuration) {
+        self.station().replay_quiet(ticks, dt)
+    }
+
     fn collect_utilization(&mut self) -> f64 {
         self.station().collect_utilization()
     }
@@ -148,26 +164,120 @@ impl Station for Component {
     }
 }
 
-/// A component plus its per-tick completion outbox.
+/// A component plus its per-tick completion outbox and sleep stamps.
 ///
 /// The engine's time-increment phase may run agents on several worker
 /// threads (Scatter-Gather or H-Dispatch); each agent writes the tokens
 /// it completed into its own outbox, and the serial interaction phase
 /// drains them afterwards — the decoupling of time-increment and
 /// interaction steps that H-Dispatch requires (§4.3.5).
+///
+/// A sleeping agent (see [`crate::active`]) owes the ticks from
+/// `asleep_from` on, all of them quiet until `wake_at`.
 #[derive(Clone)]
 pub struct AgentSlot {
     /// The hardware agent.
     pub component: Component,
     /// Tokens completed during the current tick.
     pub outbox: Vec<JobToken>,
+    /// Start of the first tick the sleeping agent has not yet applied.
+    asleep_from: SimTime,
+    /// Start of the first tick the sleeping agent must run for real;
+    /// `SimTime::ZERO` while awake (no agent can sleep until time zero).
+    wake_at: SimTime,
+    /// The sweep's plan for an awake agent, fixed by its last tick while
+    /// its state is at hand: [`EMPTY`] when it holds no work, else its
+    /// quiet horizon from the next tick boundary. An enqueue resets it
+    /// to 0 (no plan), since the job may shorten the horizon.
+    plan: u64,
 }
 
+/// [`AgentSlot`] plan of an agent that holds no work.
+pub(crate) const EMPTY: u64 = u64::MAX;
+
 impl AgentSlot {
+    /// An awake slot around `component` with an empty outbox.
+    pub fn new(component: Component) -> Self {
+        AgentSlot {
+            component,
+            outbox: Vec::new(),
+            asleep_from: SimTime::ZERO,
+            wake_at: SimTime::ZERO,
+            plan: 0,
+        }
+    }
+
     /// Runs one tick, leaving completions in the outbox.
     pub fn tick_into_outbox(&mut self, now: SimTime, dt: SimDuration) {
         self.outbox.clear();
         self.component.tick(now, dt, &mut self.outbox);
+    }
+
+    /// Runs one tick like [`tick_into_outbox`](Self::tick_into_outbox),
+    /// then plans the end-of-step sweep: whether the agent is now empty,
+    /// or how many ticks from `now + dt` on are quiet.
+    pub fn tick_and_plan(&mut self, now: SimTime, dt: SimDuration) {
+        self.tick_into_outbox(now, dt);
+        // `quiet_ticks` is `EMPTY` exactly when the station holds no job.
+        self.plan = self.component.quiet_ticks(now + dt, dt);
+        debug_assert_eq!(self.plan == EMPTY, self.component.in_system() == 0);
+    }
+
+    /// The plan for the sweep (see [`tick_and_plan`](Self::tick_and_plan)).
+    pub(crate) fn plan(&self) -> u64 {
+        self.plan
+    }
+
+    /// Forgets the plan: an enqueue may have shortened the horizon.
+    pub(crate) fn clear_plan(&mut self) {
+        self.plan = 0;
+    }
+
+    /// Whether the agent is asleep.
+    pub fn is_asleep(&self) -> bool {
+        self.wake_at != SimTime::ZERO
+    }
+
+    /// The sleep window `(asleep_from, wake_at)`, when asleep.
+    pub fn sleep_window(&self) -> Option<(SimTime, SimTime)> {
+        self.is_asleep().then_some((self.asleep_from, self.wake_at))
+    }
+
+    /// Puts the agent to sleep at tick boundary `from` when its station
+    /// promises at least one quiet tick from there, returning the wake
+    /// boundary.
+    pub(crate) fn try_sleep(&mut self, from: SimTime, dt: SimDuration) -> Option<SimTime> {
+        match self.component.quiet_ticks(from, dt) {
+            0 => None,
+            quiet => Some(self.sleep(from, quiet, dt)),
+        }
+    }
+
+    /// Puts the agent to sleep at tick boundary `from` for `quiet` quiet
+    /// ticks, returning the wake boundary.
+    pub(crate) fn sleep(&mut self, from: SimTime, quiet: u64, dt: SimDuration) -> SimTime {
+        let span = quiet.saturating_mul(dt.as_micros());
+        self.asleep_from = from;
+        self.wake_at = SimTime(from.as_micros().saturating_add(span));
+        self.wake_at
+    }
+
+    /// Replays the quiet ticks owed before `to` (a tick boundary no later
+    /// than `wake_at`), returning how many there were. The agent stays
+    /// asleep.
+    pub(crate) fn catch_up(&mut self, to: SimTime, dt: SimDuration) -> u64 {
+        debug_assert!(self.is_asleep() && to <= self.wake_at, "replay past wake");
+        let owed = crate::active::ticks_between(self.asleep_from, to, dt).unwrap_or(0);
+        if owed > 0 {
+            self.component.replay_quiet(owed, dt);
+            self.asleep_from = to;
+        }
+        owed
+    }
+
+    /// Marks the agent awake; its owed ticks must have been replayed.
+    pub(crate) fn wake(&mut self) {
+        self.wake_at = SimTime::ZERO;
     }
 }
 
@@ -267,4 +377,10 @@ impl gdisim_snap::Snap for Component {
     }
 }
 
-gdisim_snap::snap_struct!(AgentSlot { component, outbox });
+gdisim_snap::snap_struct!(AgentSlot {
+    component,
+    outbox,
+    asleep_from,
+    wake_at,
+    plan,
+});

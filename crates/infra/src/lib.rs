@@ -27,7 +27,7 @@ pub mod routing;
 pub mod spec;
 
 pub use active::ActiveSet;
-pub use build::{DataCenter, Infrastructure, LoadBalancing, Server, ServerRef, Tier};
+pub use build::{DataCenter, Infrastructure, LoadBalancing, Server, ServerRef, SleepBreach, Tier};
 pub use component::{AgentSlot, Component, ComponentKind, ComponentMeta};
 pub use spec::{
     ClientAccessSpec, DataCenterSpec, TierSpec, TierStorageSpec, TopologySpec, WanLinkSpec,

@@ -12,7 +12,8 @@
 //!   "step_ns": {"count": ..., "p50": ..., "buckets": [[lo, hi, n], ...]},
 //!   "drains": {"faults": {"skipped": ..., "gated": ..., "noop": ..., "cancelled": ...}, ...},
 //!   "active_set": {"mean": ..., "max": ..., "series": [[t_secs, n], ...],
-//!                  "ticks_by_kind": {"cpu": ..., "nic": ..., ..., "client": ...}},
+//!                  "ticks_by_kind": {"cpu": ..., "nic": ..., ..., "client": ...},
+//!                  "replayed_by_kind": {"cpu": ..., ..., "client": ...}},
 //!   "spans": {"recorded": ..., "dropped": ...},
 //!   "registry": {"counters": {...}, "gauges": {...}, "histograms": {...}}
 //! }
@@ -59,11 +60,13 @@ pub fn profile_to_value(p: &StepProfile, registry: Option<&MetricsRegistry>) -> 
         .iter()
         .map(|&(t, v)| Value::Array(vec![Value::F64(t), Value::F64(v)]))
         .collect();
-    let ticks_by_kind = KIND_NAMES
-        .iter()
-        .zip(p.ticks_by_kind.iter())
-        .map(|(name, &n)| ((*name).to_string(), Value::U64(n)))
-        .collect();
+    let by_kind = |counts: &[u64]| {
+        KIND_NAMES
+            .iter()
+            .zip(counts)
+            .map(|(name, &n)| ((*name).to_string(), Value::U64(n)))
+            .collect()
+    };
     let mut doc = vec![
         ("schema".into(), Value::Str("gdisim.profile.v1".into())),
         ("steps".into(), Value::U64(p.steps)),
@@ -77,7 +80,14 @@ pub fn profile_to_value(p: &StepProfile, registry: Option<&MetricsRegistry>) -> 
                 ("mean".into(), Value::F64(p.occupancy_mean)),
                 ("max".into(), Value::U64(p.occupancy_max)),
                 ("series".into(), Value::Array(series)),
-                ("ticks_by_kind".into(), Value::Object(ticks_by_kind)),
+                (
+                    "ticks_by_kind".into(),
+                    Value::Object(by_kind(&p.ticks_by_kind)),
+                ),
+                (
+                    "replayed_by_kind".into(),
+                    Value::Object(by_kind(&p.replayed_by_kind)),
+                ),
             ]),
         ),
         (
@@ -137,9 +147,11 @@ mod tests {
             doc.get("schema").and_then(Value::as_str),
             Some("gdisim.profile.v1")
         );
-        let by_kind = doc.get("active_set").unwrap().get("ticks_by_kind").unwrap();
-        for name in KIND_NAMES {
-            assert!(by_kind.get(name).is_some(), "missing kind {name}");
+        for counter in ["ticks_by_kind", "replayed_by_kind"] {
+            let by_kind = doc.get("active_set").unwrap().get(counter).unwrap();
+            for name in KIND_NAMES {
+                assert!(by_kind.get(name).is_some(), "{counter} misses kind {name}");
+            }
         }
         let drain_a = doc.get("drains").unwrap().get("a").unwrap();
         assert_eq!(drain_a.get("gated").and_then(Value::as_u64), Some(1));

@@ -106,8 +106,13 @@ pub struct StepProfile {
     /// Peak active-set occupancy.
     pub occupancy_max: u64,
     /// Agent ticks per kind slot (see [`KIND_NAMES`]); sums to the
-    /// occupancy total over all profiled steps.
+    /// occupancy total over all profiled steps. Counts real ticks only.
     pub ticks_by_kind: [u64; NUM_KINDS],
+    /// Quiet ticks that sleeping agents replayed, per kind slot. Once
+    /// every sleeper has caught up (after a collection), the sum of
+    /// `ticks_by_kind` and `replayed_by_kind` is the number of steps
+    /// agents of each kind spent holding work.
+    pub replayed_by_kind: [u64; NUM_KINDS],
     /// Occupancy samples taken at collection boundaries:
     /// `(sim time secs, active agents)`.
     pub occupancy_series: Vec<(f64, f64)>,
@@ -129,6 +134,7 @@ pub struct StepProfiler {
     occ_sum: u64,
     occ_max: u64,
     ticks_by_kind: [u64; NUM_KINDS],
+    replayed_by_kind: [u64; NUM_KINDS],
     occ_series: Vec<(f64, f64)>,
     spans: Vec<Span>,
     span_cap: usize,
@@ -164,6 +170,7 @@ impl StepProfiler {
             occ_sum: 0,
             occ_max: 0,
             ticks_by_kind: [0; NUM_KINDS],
+            replayed_by_kind: [0; NUM_KINDS],
             occ_series: Vec::new(),
             spans: Vec::with_capacity(span_cap),
             span_cap,
@@ -226,6 +233,13 @@ impl StepProfiler {
     #[inline]
     pub fn note_agent_tick(&mut self, kind: usize) {
         self.ticks_by_kind[kind] += 1;
+    }
+
+    /// Counts `ticks` quiet ticks replayed by a sleeping agent of kind
+    /// slot `kind`.
+    #[inline]
+    pub fn note_replayed(&mut self, kind: usize, ticks: u64) {
+        self.replayed_by_kind[kind] += ticks;
     }
 
     /// Accounts one phase-1 drain: `ran` says whether the drain executed
@@ -301,6 +315,7 @@ impl StepProfiler {
             occupancy_mean: self.occupancy_mean(),
             occupancy_max: self.occ_max,
             ticks_by_kind: self.ticks_by_kind,
+            replayed_by_kind: self.replayed_by_kind,
             occupancy_series: self.occ_series.clone(),
             spans_recorded: self.spans.len() as u64,
             spans_dropped: self.spans_dropped,
@@ -383,6 +398,17 @@ mod tests {
         p.note_agent_tick(5);
         let profile = p.profile(&["a", "b", "c", "d", "e", "f", "g", "h", "i"]);
         assert_eq!(profile.ticks_by_kind, [1, 0, 0, 0, 0, 2, 0]);
+    }
+
+    #[test]
+    fn replayed_ticks_are_counted_apart_from_real_ticks() {
+        let mut p = StepProfiler::new();
+        p.note_agent_tick(0);
+        p.note_replayed(0, 7);
+        p.note_replayed(3, 2);
+        let profile = p.profile(&["a", "b", "c", "d", "e", "f", "g", "h", "i"]);
+        assert_eq!(profile.ticks_by_kind, [1, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(profile.replayed_by_kind, [7, 0, 0, 2, 0, 0, 0]);
     }
 
     #[test]

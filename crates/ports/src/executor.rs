@@ -26,9 +26,10 @@ pub struct ExecutorStats {
     pub items: u64,
 }
 
-/// Shared atomic counters behind [`ExecutorStats`]. Cloned pools (the
-/// engine clones its executor every step) share one instance through an
-/// `Arc`, so stats aggregate per pool, not per clone.
+/// Shared atomic counters behind [`ExecutorStats`]. Cloned pools (a
+/// branched simulation, or one executor handed to several runs) share
+/// one instance through an `Arc`, so stats aggregate per pool, not per
+/// clone.
 #[derive(Debug, Default)]
 pub(crate) struct DispatchCounters {
     phases: AtomicU64,
@@ -277,7 +278,7 @@ mod tests {
         assert_eq!(s.phases, 2);
         assert_eq!(s.items, 10, "one item per agent set under HD");
 
-        // Clones share the same counters (the engine clones per step).
+        // Clones share the same counters.
         let clone = sg.clone();
         clone.run_phase(&mut agents, |a| *a += 1);
         assert_eq!(sg.stats().unwrap().phases, 3);

@@ -6,7 +6,7 @@
 //! by scaling the effective core count by an empirically measured speedup
 //! factor.
 
-use crate::discipline::{FcfsMulti, Station};
+use crate::discipline::{quiet_horizon, FcfsMulti, Station};
 use crate::job::JobToken;
 use gdisim_types::{Kendall, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -114,6 +114,28 @@ impl Station for CpuModel {
     fn account_idle(&mut self, ticks: u64, dt: SimDuration) {
         for s in &mut self.sockets {
             s.account_idle(ticks, dt);
+        }
+    }
+
+    fn quiet_ticks(&self, _next: SimTime, dt: SimDuration) -> u64 {
+        // Every socket's cores run at the clock rate, so the least
+        // in-service demand over all sockets sets the horizon.
+        let mut least = f64::INFINITY;
+        for socket in &self.sockets {
+            match socket.quiet_demand() {
+                None => return 0,
+                Some(demand) => least = least.min(demand),
+            }
+        }
+        if least == f64::INFINITY {
+            return u64::MAX;
+        }
+        quiet_horizon(least, self.spec.clock_hz * dt.as_secs_f64())
+    }
+
+    fn replay_quiet(&mut self, ticks: u64, dt: SimDuration) {
+        for s in &mut self.sockets {
+            s.replay_quiet(ticks, dt);
         }
     }
 

@@ -23,7 +23,7 @@
 //! their order: drives `0..n`, then controllers `0..n`, then the front
 //! stages from last to first.
 
-use crate::discipline::{FcfsMulti, Station};
+use crate::discipline::{shortest_horizon, FcfsMulti, Station};
 use crate::job::JobToken;
 use crate::rng::SplitMix64;
 use gdisim_types::{SimDuration, SimTime};
@@ -109,6 +109,13 @@ impl DiskArray {
             }
             self.dt = dt;
         }
+    }
+
+    fn queues(&self) -> impl Iterator<Item = &FcfsMulti> {
+        self.front
+            .iter()
+            .chain(self.disk_ctrl.iter())
+            .chain(self.disk_drive.iter())
     }
 
     fn queues_mut(&mut self) -> impl Iterator<Item = &mut FcfsMulti> {
@@ -229,6 +236,33 @@ impl Station for DiskArray {
         self.ticks += ticks;
     }
 
+    /// The shortest horizon of the busy sub-queues: any stage completion
+    /// is a hand-off (and a cache draw) that must run for real.
+    fn quiet_ticks(&self, next: SimTime, dt: SimDuration) -> u64 {
+        shortest_horizon(
+            self.queues()
+                .filter(|q| !q.is_empty())
+                .map(|q| q.quiet_ticks(next, dt)),
+        )
+    }
+
+    /// Replays the busy sub-queues exactly as `tick_lazy` would have run
+    /// them; the empty ones stay empty and keep their ticks owed.
+    fn replay_quiet(&mut self, ticks: u64, dt: SimDuration) {
+        if ticks > 0 {
+            // A quiet tick leaves the last sub-queue's completions empty.
+            self.scratch.clear();
+        }
+        self.use_dt(dt);
+        let tick = self.ticks;
+        for q in self.queues_mut().filter(|q| !q.is_empty()) {
+            q.credit_idle_to(tick, dt);
+            q.replay_quiet(ticks, dt);
+            q.credited = tick + ticks;
+        }
+        self.ticks += ticks;
+    }
+
     /// Utilization of the entry stage since the last collection; every
     /// front stage's meter resets.
     fn collect_utilization(&mut self) -> f64 {
@@ -263,7 +297,8 @@ impl Station for DiskArray {
     }
 }
 
-// Checkpoint support. `scratch` is empty between steps; it still
+// Checkpoint support. Between steps `scratch` holds at most the last
+// sub-queue's completions, which the next tick clears; it still
 // roundtrips so the struct stays fully covered.
 gdisim_snap::snap_struct!(ArrayJob { bytes, outstanding });
 gdisim_snap::snap_struct!(DiskArray {

@@ -110,6 +110,23 @@ impl Station for LinkModel {
         self.propagation.account_idle(ticks, dt);
     }
 
+    fn quiet_ticks(&self, next: SimTime, dt: SimDuration) -> u64 {
+        // A finished transfer enters the delay line; a released one
+        // leaves the link.
+        match self.service.quiet_ticks(next, dt) {
+            0 => 0,
+            service => service.min(self.propagation.quiet_ticks(next, dt)),
+        }
+    }
+
+    fn replay_quiet(&mut self, ticks: u64, dt: SimDuration) {
+        if ticks > 0 {
+            self.served.clear();
+        }
+        self.service.replay_quiet(ticks, dt);
+        self.propagation.replay_quiet(ticks, dt);
+    }
+
     fn collect_utilization(&mut self) -> f64 {
         // Bandwidth utilization; the latency stage models no contention.
         let u = self.service.collect_utilization();
@@ -193,7 +210,8 @@ mod tests {
     }
 }
 
-// Checkpoint support. `served` is empty between steps; it still
+// Checkpoint support. Between steps `served` holds at most the last
+// tick's finished transfers, which the next tick clears; it still
 // roundtrips so the struct stays fully covered.
 gdisim_snap::snap_struct!(LinkSpec {
     bandwidth_bytes_per_sec,

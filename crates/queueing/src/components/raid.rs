@@ -122,6 +122,14 @@ impl Station for RaidModel {
         self.array.account_idle(ticks, dt);
     }
 
+    fn quiet_ticks(&self, next: SimTime, dt: SimDuration) -> u64 {
+        self.array.quiet_ticks(next, dt)
+    }
+
+    fn replay_quiet(&mut self, ticks: u64, dt: SimDuration) {
+        self.array.replay_quiet(ticks, dt);
+    }
+
     fn collect_utilization(&mut self) -> f64 {
         // The array controller is the front-end bottleneck the paper
         // reports for disk subsystems; drives are exposed separately.

@@ -134,6 +134,14 @@ impl Station for SanModel {
         self.array.account_idle(ticks, dt);
     }
 
+    fn quiet_ticks(&self, next: SimTime, dt: SimDuration) -> u64 {
+        self.array.quiet_ticks(next, dt)
+    }
+
+    fn replay_quiet(&mut self, ticks: u64, dt: SimDuration) {
+        self.array.replay_quiet(ticks, dt);
+    }
+
     fn collect_utilization(&mut self) -> f64 {
         // Report the fibre-channel switch, the SAN's entry bottleneck;
         // the controller and loop meters reset alongside it, and drives

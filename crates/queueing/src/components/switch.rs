@@ -66,6 +66,14 @@ impl Station for SwitchModel {
         self.queue.account_idle(ticks, dt);
     }
 
+    fn quiet_ticks(&self, next: SimTime, dt: SimDuration) -> u64 {
+        self.queue.quiet_ticks(next, dt)
+    }
+
+    fn replay_quiet(&mut self, ticks: u64, dt: SimDuration) {
+        self.queue.replay_quiet(ticks, dt);
+    }
+
     fn collect_utilization(&mut self) -> f64 {
         self.queue.collect_utilization()
     }

@@ -62,6 +62,27 @@ impl Station for DelayLine {
         self.gauge.advance_by(dt, ticks);
     }
 
+    fn quiet_ticks(&self, next: SimTime, dt: SimDuration) -> u64 {
+        // The tick starting at `next + i·dt` releases the front job iff
+        // its release time is at most `next + (i + 1)·dt`. Integer
+        // microseconds, so the count is exact.
+        match self.in_flight.front() {
+            None => u64::MAX,
+            Some(&(_, release)) => {
+                let ahead = release.as_micros().saturating_sub(next.as_micros() + 1);
+                ahead / dt.as_micros()
+            }
+        }
+    }
+
+    fn replay_quiet(&mut self, ticks: u64, dt: SimDuration) {
+        let level = self.in_flight.len() as f64;
+        for _ in 0..ticks {
+            self.gauge.set(level);
+            self.gauge.advance(dt);
+        }
+    }
+
     fn collect_utilization(&mut self) -> f64 {
         // No contention: report the average number of in-flight jobs.
         self.gauge.collect()

@@ -1,7 +1,7 @@
 //! Multi-server FCFS fluid queue — the `M/M/c – FCFS` workhorse used by
 //! the CPU (Fig. 3-4), NIC and switch (Fig. 3-6) models.
 
-use super::{Station, EPS};
+use super::{quiet_horizon, Station, EPS};
 use crate::job::{JobEntry, JobToken};
 use gdisim_metrics::UtilizationMeter;
 use gdisim_types::{SimDuration, SimTime};
@@ -19,6 +19,13 @@ pub struct FcfsMulti {
     /// Only owners that tick the queue lazily (the storage stations'
     /// disk array) advance it; a queue ticked every step leaves it at 0.
     pub(crate) credited: u64,
+    /// The least remaining demand in service (infinite when none), as
+    /// left by the last tick: every in-service job then loses the same
+    /// budget per quiet tick, and rounding is monotone, so the least
+    /// stays least while the queue sleeps.
+    least_in_service: f64,
+    /// Whether the last tick left a server free.
+    free_server: bool,
 }
 
 impl FcfsMulti {
@@ -39,6 +46,8 @@ impl FcfsMulti {
             rate,
             meter: UtilizationMeter::new(),
             credited: 0,
+            least_in_service: f64::INFINITY,
+            free_server: true,
         }
     }
 
@@ -59,7 +68,20 @@ impl FcfsMulti {
 
     /// Whether the queue holds no job (cheaper than `in_system() == 0`).
     pub(crate) fn is_empty(&self) -> bool {
-        self.waiting.is_empty() && self.servers.iter().all(Option::is_none)
+        self.waiting.is_empty() && self.least_in_service == f64::INFINITY
+    }
+
+    /// Whether a waiter sits behind a free server, so the next tick
+    /// admits it.
+    fn admits_next(&self) -> bool {
+        self.free_server && !self.waiting.is_empty()
+    }
+
+    /// The least remaining demand in service (infinite when every server
+    /// is free), or `None` when the next tick admits a waiter. O(1): the
+    /// tick that shaped the servers recorded both.
+    pub(crate) fn quiet_demand(&self) -> Option<f64> {
+        (!self.admits_next()).then_some(self.least_in_service)
     }
 
     /// Credits the owner ticks `[credited, upto)`, all of which the queue
@@ -115,6 +137,7 @@ impl Station for FcfsMulti {
             return;
         }
         let mut used_units = 0.0;
+        let (mut least, mut free) = (f64::INFINITY, false);
         for slot in &mut self.servers {
             let mut budget = per_server_budget;
             while budget > EPS {
@@ -134,7 +157,13 @@ impl Station for FcfsMulti {
                     *slot = None;
                 }
             }
+            match slot {
+                Some(job) => least = least.min(job.remaining),
+                None => free = true,
+            }
         }
+        self.least_in_service = least;
+        self.free_server = free;
         let busy_servers = used_units / per_server_budget;
         self.meter
             .record(busy_servers, self.servers.len() as f64, dt);
@@ -142,6 +171,41 @@ impl Station for FcfsMulti {
 
     fn account_idle(&mut self, ticks: u64, dt: SimDuration) {
         self.meter.record_idle(self.servers.len() as f64, dt, ticks);
+    }
+
+    fn quiet_ticks(&self, _next: SimTime, dt: SimDuration) -> u64 {
+        match self.quiet_demand() {
+            None => 0,
+            Some(least) if least == f64::INFINITY => u64::MAX,
+            Some(least) => quiet_horizon(least, self.rate * dt.as_secs_f64()),
+        }
+    }
+
+    fn replay_quiet(&mut self, ticks: u64, dt: SimDuration) {
+        // A quiet tick serves every busy server a full budget and leaves
+        // the free ones free, so `tick`'s arithmetic reduces to this.
+        let per_server_budget = self.rate * dt.as_secs_f64();
+        let mut used_units = 0.0;
+        for job in self.servers.iter_mut().flatten() {
+            for _ in 0..ticks {
+                job.remaining -= per_server_budget;
+            }
+            used_units += per_server_budget;
+        }
+        if self.least_in_service < f64::INFINITY {
+            for _ in 0..ticks {
+                self.least_in_service -= per_server_budget;
+            }
+        }
+        let busy_servers = if per_server_budget > 0.0 {
+            used_units / per_server_budget
+        } else {
+            0.0
+        };
+        let total = self.servers.len() as f64;
+        for _ in 0..ticks {
+            self.meter.record(busy_servers, total, dt);
+        }
     }
 
     fn collect_utilization(&mut self) -> f64 {
@@ -159,6 +223,8 @@ impl Station for FcfsMulti {
             }
         }
         into.extend(self.waiting.drain(..).map(|j| j.token));
+        self.least_in_service = f64::INFINITY;
+        self.free_server = true;
     }
 }
 
@@ -267,11 +333,14 @@ mod tests {
 }
 
 // Checkpoint support: in-service slots, the waiting line, the
-// mid-interval meter and the idle-credit stamp all roundtrip exactly.
+// mid-interval meter, the idle-credit stamp and the quiet-horizon inputs
+// all roundtrip exactly.
 gdisim_snap::snap_struct!(FcfsMulti {
     servers,
     waiting,
     rate,
     meter,
     credited,
+    least_in_service,
+    free_server,
 });

@@ -7,7 +7,7 @@
 //! [`Station`]; they are also used by the baselines and by tests that
 //! cross-check the hand-rolled RAID/SAN models.
 
-use super::Station;
+use super::{shortest_horizon, Station};
 use crate::job::JobToken;
 use crate::rng::SplitMix64;
 use gdisim_types::{SimDuration, SimTime};
@@ -69,6 +69,16 @@ impl Station for Tandem {
     fn account_idle(&mut self, ticks: u64, dt: SimDuration) {
         for s in &mut self.stages {
             s.account_idle(ticks, dt);
+        }
+    }
+
+    fn quiet_ticks(&self, next: SimTime, dt: SimDuration) -> u64 {
+        shortest_horizon(self.stages.iter().map(|s| s.quiet_ticks(next, dt)))
+    }
+
+    fn replay_quiet(&mut self, ticks: u64, dt: SimDuration) {
+        for s in &mut self.stages {
+            s.replay_quiet(ticks, dt);
         }
     }
 
@@ -136,6 +146,19 @@ impl Station for Bypass {
 
     fn account_idle(&mut self, ticks: u64, dt: SimDuration) {
         self.inner.account_idle(ticks, dt);
+    }
+
+    fn quiet_ticks(&self, next: SimTime, dt: SimDuration) -> u64 {
+        // Pending hits complete on the next tick.
+        if self.hits_pending.is_empty() {
+            self.inner.quiet_ticks(next, dt)
+        } else {
+            0
+        }
+    }
+
+    fn replay_quiet(&mut self, ticks: u64, dt: SimDuration) {
+        self.inner.replay_quiet(ticks, dt);
     }
 
     fn collect_utilization(&mut self) -> f64 {
@@ -209,6 +232,16 @@ impl Station for ForkJoin {
     fn account_idle(&mut self, ticks: u64, dt: SimDuration) {
         for b in &mut self.branches {
             b.account_idle(ticks, dt);
+        }
+    }
+
+    fn quiet_ticks(&self, next: SimTime, dt: SimDuration) -> u64 {
+        shortest_horizon(self.branches.iter().map(|b| b.quiet_ticks(next, dt)))
+    }
+
+    fn replay_quiet(&mut self, ticks: u64, dt: SimDuration) {
+        for b in &mut self.branches {
+            b.replay_quiet(ticks, dt);
         }
     }
 

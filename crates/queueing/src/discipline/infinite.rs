@@ -6,7 +6,7 @@
 //! parallel at the configured rate — the natural model for a population
 //! of client machines aggregated into one agent.
 
-use super::{Station, EPS};
+use super::{quiet_horizon, Station, EPS};
 use crate::job::{JobEntry, JobToken};
 use gdisim_metrics::GaugeMeter;
 use gdisim_types::{SimDuration, SimTime};
@@ -17,6 +17,10 @@ pub struct InfiniteServer {
     jobs: Vec<JobEntry>,
     rate: f64,
     gauge: GaugeMeter,
+    /// The least remaining demand among `jobs` (infinite when none),
+    /// kept exact: every job loses the same budget, and rounding is
+    /// monotone, so the least stays least.
+    min_job: f64,
 }
 
 impl InfiniteServer {
@@ -30,6 +34,7 @@ impl InfiniteServer {
             jobs: Vec::new(),
             rate,
             gauge: GaugeMeter::new(),
+            min_job: f64::INFINITY,
         }
     }
 
@@ -41,20 +46,25 @@ impl InfiniteServer {
 
 impl Station for InfiniteServer {
     fn enqueue(&mut self, token: JobToken, demand: f64, now: SimTime) {
-        self.jobs.push(JobEntry::new(token, demand, now));
+        let job = JobEntry::new(token, demand, now);
+        self.min_job = self.min_job.min(job.remaining);
+        self.jobs.push(job);
     }
 
     fn tick(&mut self, _now: SimTime, dt: SimDuration, completed: &mut Vec<JobToken>) {
         let budget = self.rate * dt.as_secs_f64();
+        let mut min_left = f64::INFINITY;
         self.jobs.retain_mut(|j| {
             j.remaining -= budget;
             if j.remaining <= EPS {
                 completed.push(j.token);
                 false
             } else {
+                min_left = min_left.min(j.remaining);
                 true
             }
         });
+        self.min_job = min_left;
         self.gauge.set(self.jobs.len() as f64);
         self.gauge.advance(dt);
     }
@@ -62,6 +72,32 @@ impl Station for InfiniteServer {
     fn account_idle(&mut self, ticks: u64, dt: SimDuration) {
         // Empty station: the gauge already sits at zero, so only time advances.
         self.gauge.advance_by(dt, ticks);
+    }
+
+    fn quiet_ticks(&self, _next: SimTime, dt: SimDuration) -> u64 {
+        if self.jobs.is_empty() {
+            return u64::MAX;
+        }
+        quiet_horizon(self.min_job, self.rate * dt.as_secs_f64())
+    }
+
+    fn replay_quiet(&mut self, ticks: u64, dt: SimDuration) {
+        let budget = self.rate * dt.as_secs_f64();
+        for j in &mut self.jobs {
+            for _ in 0..ticks {
+                j.remaining -= budget;
+            }
+        }
+        if !self.jobs.is_empty() {
+            for _ in 0..ticks {
+                self.min_job -= budget;
+            }
+        }
+        let level = self.jobs.len() as f64;
+        for _ in 0..ticks {
+            self.gauge.set(level);
+            self.gauge.advance(dt);
+        }
     }
 
     fn collect_utilization(&mut self) -> f64 {
@@ -76,6 +112,7 @@ impl Station for InfiniteServer {
     fn evict_all(&mut self, into: &mut Vec<JobToken>) {
         into.extend(self.jobs.drain(..).map(|j| j.token));
         self.gauge.set(0.0);
+        self.min_job = f64::INFINITY;
     }
 }
 
@@ -122,4 +159,9 @@ mod tests {
 }
 
 // Checkpoint support.
-gdisim_snap::snap_struct!(InfiniteServer { jobs, rate, gauge });
+gdisim_snap::snap_struct!(InfiniteServer {
+    jobs,
+    rate,
+    gauge,
+    min_job,
+});

@@ -27,7 +27,67 @@ use gdisim_types::{SimDuration, SimTime};
 /// this threshold.
 pub(crate) const EPS: f64 = 1e-6;
 
+/// Longest quiet horizon [`quiet_horizon`] promises. Far below the
+/// `2^26` ticks up to which its rounding argument holds, and already
+/// 46 simulated hours at a 10 ms tick.
+const HORIZON_CAP: u64 = 1 << 24;
+
+/// A lower bound on the number of upcoming ticks during which a job
+/// with `remaining` demand, losing `step` per tick, neither completes
+/// nor runs short of a full step: after each of those ticks the job
+/// holds more than `EPS + step`.
+///
+/// Every job of a station loses the same `step` per tick and
+/// floating-point subtraction is monotone, so the job with the least
+/// remaining demand finishes first, and one bound per station suffices.
+/// The bound is closed-form, so it costs O(1) however long the job is.
+///
+/// Why it holds: let `q = (remaining - EPS) / step` and `h = q - 2`
+/// whole ticks. Exactly, `remaining - i·step >= EPS + 2·step` for every
+/// `i <= h`. Each rounded subtraction errs by at most `2^-53` of a
+/// value that never exceeds `remaining`, so `i` of them drift by at most
+/// `i · 2^-53 · remaining`. For `q < 2^26` that is under `step / 2`,
+/// which leaves more than `EPS + step`. Larger `q` is capped at
+/// [`HORIZON_CAP`] ticks, where the drift is a `2^-29` fraction of
+/// `remaining` while at most a quarter of it has been served. Waking
+/// early is always safe, so the two-tick margin costs nothing but a
+/// slightly earlier wake. `as u64` (not `floor`, a libcall) truncates,
+/// and maps a NaN to 0.
+pub(crate) fn quiet_horizon(remaining: f64, step: f64) -> u64 {
+    if step <= EPS {
+        return 0;
+    }
+    let q = (remaining - EPS) / step;
+    if q >= (1u64 << 26) as f64 {
+        HORIZON_CAP
+    } else {
+        (q as u64).saturating_sub(2)
+    }
+}
+
+/// The shortest of the parts' quiet horizons (`u64::MAX` for none),
+/// stopping at the first part that cannot sleep at all: a composite
+/// station is quiet only while every part is, since an internal
+/// hand-off is a completion too.
+pub(crate) fn shortest_horizon(horizons: impl IntoIterator<Item = u64>) -> u64 {
+    let mut shortest = u64::MAX;
+    for h in horizons {
+        if h == 0 {
+            return 0;
+        }
+        shortest = shortest.min(h);
+    }
+    shortest
+}
+
 /// A queueing station processing scalar-demand jobs tick by tick.
+///
+/// Besides ticking, every station can say how many of its upcoming
+/// ticks are *quiet* — ticks that complete no job and admit no job into
+/// service — and replay such ticks later in one call. The engine uses
+/// the pair to let a busy agent sleep through its quiet ticks and catch
+/// up on them only when something touches it (DESIGN §4.1). Both
+/// methods are required, so no station can opt out by accident.
 pub trait Station {
     /// Submits a job with `demand` units of service required.
     fn enqueue(&mut self, token: JobToken, demand: f64, now: SimTime);
@@ -51,6 +111,23 @@ pub trait Station {
     /// the meter. For delay lines (which model no contention) this is the
     /// average number of in-flight jobs instead.
     fn collect_utilization(&mut self) -> f64;
+
+    /// A proven lower bound on how many ticks, starting with the one
+    /// that begins at `next`, complete no job and admit no job into
+    /// service (an internal stage hand-off counts as a completion).
+    /// `0` means the next tick must run for real. The result is
+    /// `u64::MAX` exactly when the station holds no job, so the engine
+    /// learns emptiness from the same call. Callers must not rely on
+    /// more than the bound: it errs low on purpose.
+    fn quiet_ticks(&self, next: SimTime, dt: SimDuration) -> u64;
+
+    /// Applies `ticks` quiet ticks of length `dt` at once. It performs
+    /// the same floating-point operations as that many calls of
+    /// [`tick`](Self::tick), in the same order per variable, so the state
+    /// ends bit-identical. Only valid for `ticks <=`
+    /// [`quiet_ticks`](Self::quiet_ticks) as evaluated at the first of
+    /// them, with nothing enqueued in between.
+    fn replay_quiet(&mut self, ticks: u64, dt: SimDuration);
 
     /// Number of jobs currently in the system (waiting + in service).
     fn in_system(&self) -> usize;

@@ -8,7 +8,7 @@
 //! exactly (water-filling) whenever a job finishes, so short jobs never
 //! strand capacity.
 
-use super::{Station, EPS};
+use super::{quiet_horizon, Station, EPS};
 use crate::job::{JobEntry, JobToken};
 use gdisim_metrics::UtilizationMeter;
 use gdisim_types::{SimDuration, SimTime};
@@ -23,6 +23,10 @@ pub struct PsQueue {
     rate: f64,
     max_sharing: usize,
     meter: UtilizationMeter,
+    /// The least remaining demand among `active` (infinite when none),
+    /// kept exact: every active job loses the same share, and rounding
+    /// is monotone, so the least stays least.
+    min_active: f64,
 }
 
 impl PsQueue {
@@ -43,6 +47,7 @@ impl PsQueue {
             rate,
             max_sharing: max_sharing as usize,
             meter: UtilizationMeter::new(),
+            min_active: f64::INFINITY,
         }
     }
 
@@ -59,7 +64,10 @@ impl PsQueue {
     fn promote_waiting(&mut self) {
         while self.active.len() < self.max_sharing {
             match self.waiting.pop_front() {
-                Some(j) => self.active.push(j),
+                Some(j) => {
+                    self.min_active = self.min_active.min(j.remaining);
+                    self.active.push(j);
+                }
                 None => break,
             }
         }
@@ -82,32 +90,30 @@ impl Station for PsQueue {
         // any newly promoted waiters).
         while budget > EPS && !self.active.is_empty() {
             let n = self.active.len() as f64;
-            let min_remaining = self
-                .active
-                .iter()
-                .map(|j| j.remaining)
-                .fold(f64::INFINITY, f64::min);
+            let min_remaining = self.min_active;
             let share = budget / n;
             if min_remaining <= share {
                 // Everyone advances by the smallest remaining demand; the
                 // finished jobs leave and their slots refill.
                 budget -= min_remaining * n;
-                for j in &mut self.active {
+                let mut min_left = f64::INFINITY;
+                self.active.retain_mut(|j| {
                     j.remaining -= min_remaining;
-                }
-                self.active.retain(|j| {
                     if j.remaining <= EPS {
                         completed.push(j.token);
                         false
                     } else {
+                        min_left = min_left.min(j.remaining);
                         true
                     }
                 });
+                self.min_active = min_left;
                 self.promote_waiting();
             } else {
                 for j in &mut self.active {
                     j.remaining -= share;
                 }
+                self.min_active -= share;
                 budget = 0.0;
             }
         }
@@ -125,6 +131,49 @@ impl Station for PsQueue {
         self.meter.record_idle(1.0, dt, ticks);
     }
 
+    fn quiet_ticks(&self, _next: SimTime, dt: SimDuration) -> u64 {
+        // A free slot with a waiter admits it on the next tick.
+        if !self.waiting.is_empty() && self.active.len() < self.max_sharing {
+            return 0;
+        }
+        if self.active.is_empty() {
+            return u64::MAX;
+        }
+        let share = self.rate * dt.as_secs_f64() / self.active.len() as f64;
+        quiet_horizon(self.min_active, share)
+    }
+
+    fn replay_quiet(&mut self, ticks: u64, dt: SimDuration) {
+        // A quiet tick gives every active job one equal share of the
+        // whole budget and uses all of it (none if nothing is active).
+        let total_budget = self.rate * dt.as_secs_f64();
+        if !self.active.is_empty() {
+            let share = total_budget / self.active.len() as f64;
+            for j in &mut self.active {
+                for _ in 0..ticks {
+                    j.remaining -= share;
+                }
+            }
+            for _ in 0..ticks {
+                self.min_active -= share;
+            }
+        }
+        let budget = if self.active.is_empty() {
+            total_budget
+        } else {
+            0.0
+        };
+        let used = total_budget - budget;
+        let busy = if total_budget > 0.0 {
+            used / total_budget
+        } else {
+            0.0
+        };
+        for _ in 0..ticks {
+            self.meter.record(busy, 1.0, dt);
+        }
+    }
+
     fn collect_utilization(&mut self) -> f64 {
         self.meter.collect()
     }
@@ -136,6 +185,7 @@ impl Station for PsQueue {
     fn evict_all(&mut self, into: &mut Vec<JobToken>) {
         into.extend(self.active.drain(..).map(|j| j.token));
         into.extend(self.waiting.drain(..).map(|j| j.token));
+        self.min_active = f64::INFINITY;
     }
 }
 
@@ -232,4 +282,5 @@ gdisim_snap::snap_struct!(PsQueue {
     rate,
     max_sharing,
     meter,
+    min_active,
 });

@@ -163,22 +163,97 @@ proptest! {
     }
 }
 
+/// Scenario `i` of the always-tick equivalence property: the three
+/// Ch. 5 validation experiments, a churned run whose hot `Drop` churn
+/// evicts in-flight work from servers (sleepers included), and a faulted
+/// run whose flapping server and WAN link bounce work off the failed
+/// components.
+fn fast_path_scenario(i: usize, seed: u64) -> gdisim_core::Simulation {
+    use gdisim_core::scenarios::{churned, faulted, validation};
+    use gdisim_core::InFlightPolicy;
+    use gdisim_core::{ChurnModel, ChurnProcess, FaultAction, FaultEvent, FaultPlan, FaultTarget};
+    match i {
+        0..=2 => validation::build(validation::EXPERIMENTS[i], seed),
+        3 => {
+            let mut sim = churned::build(seed);
+            sim.set_churn_model(ChurnModel {
+                seed,
+                servers: Some(ChurnProcess {
+                    mtbf_secs: 30.0,
+                    mttr_secs: 5.0,
+                    fail_shape: None,
+                    repair_shape: None,
+                }),
+                wan_links: Some(ChurnProcess {
+                    mtbf_secs: 60.0,
+                    mttr_secs: 5.0,
+                    fail_shape: None,
+                    repair_shape: None,
+                }),
+                domains: vec![],
+                in_flight: Some(InFlightPolicy::Drop),
+                retry: Some(faulted::demo_retry_policy()),
+                slo_target: None,
+            })
+            .expect("the hot model names only churned-topology components");
+            sim.set_resilience(churned::demo_resilience())
+                .expect("the demo resilience bundle is valid");
+            sim
+        }
+        _ => {
+            // The NA app server and the primary link flap every 7 s.
+            let server = FaultTarget::Server {
+                site: "NA".into(),
+                tier: gdisim_types::TierKind::App,
+                server: 0,
+            };
+            let link = FaultTarget::WanLink {
+                label: faulted::PRIMARY_LINK.into(),
+            };
+            let mut events = Vec::new();
+            for cycle in 0..20u32 {
+                let base = 5.0 + 7.0 * f64::from(cycle);
+                for target in [&server, &link] {
+                    for (at_secs, action) in [
+                        (base, FaultAction::Fail),
+                        (base + 3.0, FaultAction::Recover),
+                    ] {
+                        events.push(FaultEvent {
+                            at_secs,
+                            target: target.clone(),
+                            action,
+                        });
+                    }
+                }
+            }
+            let mut sim = faulted::build(seed);
+            sim.set_fault_plan(FaultPlan {
+                events,
+                in_flight: InFlightPolicy::Bounce,
+                retry: Some(faulted::demo_retry_policy()),
+            })
+            .expect("the plan names faulted-topology components");
+            sim
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The active-set fast path and the always-tick loop are the same
-    /// simulation: for random scenarios, seeds and horizons, response
-    /// histories and every utilization series must match bit for bit.
+    /// The active-set fast path — idle agents skipped, busy agents asleep
+    /// through their quiet ticks — and the always-tick loop are the same
+    /// simulation: for random scenarios (evictions and faults included),
+    /// seeds and horizons, response histories, every utilization series
+    /// and the whole encoded report must match bit for bit.
     #[test]
     fn active_set_matches_always_tick_for_random_scenarios(
-        experiment in 0usize..3,
+        scenario in 0usize..5,
         seed in 0u64..1_000,
         horizon_secs in 30u64..120,
     ) {
-        use gdisim_core::scenarios::validation::{self, EXPERIMENTS};
-
         let run = |always_tick: bool| {
-            let mut sim = validation::build(EXPERIMENTS[experiment], seed);
+            let mut sim = fast_path_scenario(scenario, seed);
             sim.set_always_tick(always_tick);
             sim.run_until(SimTime::from_secs(horizon_secs));
             let report = sim.report();
@@ -197,7 +272,12 @@ proptest! {
             for (label, s) in &report.wan_util {
                 series.push((format!("wan {label}"), s.values().to_vec()));
             }
-            (responses, series, report.concurrent_clients.values().to_vec())
+            (
+                responses,
+                series,
+                report.concurrent_clients.values().to_vec(),
+                gdisim_snap::to_bytes(report),
+            )
         };
 
         let fast = run(false);
@@ -205,6 +285,21 @@ proptest! {
         prop_assert_eq!(fast.0, full.0, "response histories diverged");
         prop_assert_eq!(fast.1, full.1, "utilization series diverged");
         prop_assert_eq!(fast.2, full.2, "client series diverged");
+        prop_assert!(fast.3 == full.3, "encoded reports diverged");
+    }
+}
+
+/// The churned and faulted cases of the property above really evict
+/// in-flight work (the sleep/eviction interplay they exist to cover).
+#[test]
+fn fast_path_scenarios_evict_work() {
+    for scenario in [3, 4] {
+        let mut sim = fast_path_scenario(scenario, 5);
+        sim.run_until(SimTime::from_secs(60));
+        assert!(
+            sim.report().faults.dropped_messages > 0,
+            "scenario {scenario} evicted nothing"
+        );
     }
 }
 

@@ -271,6 +271,42 @@ fn profile_counts_every_agent_tick_by_kind() {
 }
 
 #[test]
+fn replayed_ticks_complete_the_member_step_count() {
+    // Busy agents sleep through quiet ticks and replay them when next
+    // touched. After the last collection every debt is settled, so real
+    // plus replayed ticks must equal, kind by kind, the steps agents
+    // spent holding work: the counts of the loop that ticked every
+    // member on every step, pinned here for two simulated minutes of
+    // validation experiment 1.
+    let member_steps: [u64; gdisim_obs::NUM_KINDS] = [26082, 949, 157, 1943, 728, 2976, 11101];
+    let mut sim = validation::build(validation::EXPERIMENTS[0], 42);
+    sim.enable_profiler(0);
+    sim.run_until(SimTime::from_secs(120));
+    let p = sim.step_profile().expect("profiler enabled");
+    for (kind, name) in gdisim_obs::KIND_NAMES.iter().enumerate() {
+        assert_eq!(
+            p.ticks_by_kind[kind] + p.replayed_by_kind[kind],
+            member_steps[kind],
+            "{name}: real + replayed ticks"
+        );
+    }
+    let real: u64 = p.ticks_by_kind.iter().sum();
+    let total: u64 = member_steps.iter().sum();
+    assert!(
+        real * 10 <= total * 3,
+        "{real} real ticks exceed 30% of {total} member steps"
+    );
+
+    // The dense loop never sleeps, so it never replays.
+    let mut all = validation::build(validation::EXPERIMENTS[0], 42);
+    all.set_always_tick(true);
+    all.enable_profiler(0);
+    all.run_until(SimTime::from_secs(10));
+    let p = all.step_profile().expect("profiler enabled");
+    assert_eq!(p.replayed_by_kind, [0; gdisim_obs::NUM_KINDS]);
+}
+
+#[test]
 fn perfetto_export_is_wellformed_chrome_trace_json() {
     let sim = observed_faulted_run();
     let spans = sim.profiler().expect("profiler enabled").spans();
