@@ -19,6 +19,13 @@
 //! 8.06× at 2/4/8/16 threads on the paper's 24-core host — Table 4.2).
 //! On hosts with fewer cores the H-Dispatch curve saturates at the
 //! hardware limit while the Scatter-Gather penalty remains visible.
+//!
+//! `--check` runs the CI smoke assertions instead of the timed tables:
+//! a few simulated seconds of the same rig under serial, SG(2), SG(4),
+//! HD(2, 64) and HD(4, 64) must encode byte-identical reports, and each
+//! pooled run must dispatch exactly the work items its construction
+//! defines — one per agent per phase for Scatter-Gather, one per
+//! 64-agent set per phase for H-Dispatch.
 
 use gdisim_bench::{print_table, write_csv};
 use gdisim_core::scenarios::rates;
@@ -38,6 +45,8 @@ const AGENT_SET: usize = 64;
 const SLICE_SECS: u64 = 60;
 const STREAMS: u64 = 16;
 const TRIALS: usize = 5;
+/// Simulated seconds of the `--check` run.
+const CHECK_SECS: u64 = 10;
 
 fn scaling_topology() -> TopologySpec {
     let tier = |kind| TierSpec {
@@ -69,7 +78,8 @@ fn scaling_topology() -> TopologySpec {
     }
 }
 
-fn run_with(executor: Executor) -> f64 {
+/// The scaling rig under `executor`, with every stream installed.
+fn build_rig(executor: Executor) -> Simulation {
     let infra = Infrastructure::build(&scaling_topology(), 42).expect("topology");
     let mut config = SimulationConfig::validation();
     config.executor = executor;
@@ -88,12 +98,69 @@ fn run_with(executor: Executor) -> f64 {
             None,
         );
     }
+    sim
+}
+
+fn run_with(executor: Executor) -> f64 {
+    let mut sim = build_rig(executor);
     let t0 = Instant::now();
     sim.run_until(SimTime::from_secs(SLICE_SECS));
     t0.elapsed().as_secs_f64()
 }
 
+/// CI smoke assertions (`--check`): deterministic, no timing.
+fn check() {
+    let run = |executor: Executor| {
+        let mut sim = build_rig(executor);
+        sim.run_until(SimTime::from_secs(CHECK_SECS));
+        sim
+    };
+    let sim = run(Executor::serial());
+    let serial = gdisim_snap::to_bytes(sim.report());
+    let agents = sim.infra_ref().agent_count() as u64;
+    let responses = sim.report().responses.total_recorded();
+    println!(
+        "check: serial {CHECK_SECS} sim-s over {agents} agents: {responses} responses, {} report bytes",
+        serial.len()
+    );
+    assert!(
+        responses > 0,
+        "no operation completed: the report pins nothing"
+    );
+    // Every step of the always-tick rig is one full phase.
+    let sets = agents.div_ceil(AGENT_SET as u64);
+    for (executor, per_phase) in [
+        (Executor::scatter_gather(2), agents),
+        (Executor::scatter_gather(4), agents),
+        (Executor::hdispatch(2, AGENT_SET), sets),
+        (Executor::hdispatch(4, AGENT_SET), sets),
+    ] {
+        let label = format!("{}({})", executor.name(), executor.threads());
+        let report = gdisim_snap::to_bytes(run(executor.clone()).report());
+        assert!(
+            report == serial,
+            "{label}: report differs from the serial run"
+        );
+        let stats = executor.stats().expect("pooled executor has stats");
+        println!(
+            "check: {label}: report identical; {} items / {} phases ({per_phase} per phase)",
+            stats.items, stats.phases
+        );
+        assert!(stats.phases > 0, "{label}: no phase dispatched");
+        assert_eq!(
+            stats.items,
+            stats.phases * per_phase,
+            "{label}: dispatch count differs from the Table 4.1/4.2 construction"
+        );
+    }
+    println!("check: OK");
+}
+
 fn main() {
+    if std::env::args().any(|a| a == "--check") {
+        check();
+        return;
+    }
     println!("E1/E2 — engine scalability (Tables 4.1/4.2)");
     println!(
         "  host hardware threads: {}",

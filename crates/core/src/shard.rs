@@ -48,7 +48,7 @@ use crate::report::Report;
 use crate::router::Hop;
 use gdisim_metrics::{MetricsRegistry, TimeSeries};
 use gdisim_obs::StepProfile;
-use gdisim_ports::{Executor, ShardedPool};
+use gdisim_ports::{Executor, PhasePool};
 use gdisim_types::{SimDuration, SimTime};
 use std::collections::{HashMap, VecDeque};
 
@@ -277,12 +277,12 @@ struct Slot {
 }
 
 /// The sharded engine: one [`Simulation`] clone per shard, stepped in
-/// whole lookahead windows on a [`ShardedPool`], exchanging
-/// cross-shard flights through deterministic mailboxes at window
-/// barriers.
+/// whole lookahead windows on a [`PhasePool`] (one shard per work
+/// unit), exchanging cross-shard flights through deterministic
+/// mailboxes at window barriers.
 pub struct ShardedSimulation {
     shards: Vec<Slot>,
-    pool: ShardedPool,
+    pool: PhasePool,
     /// Window length in ticks.
     window_ticks: u64,
     dt: SimDuration,
@@ -377,7 +377,7 @@ impl ShardedSimulation {
                 .into_iter()
                 .map(|sim| Slot { sim, wall_ns: 0 })
                 .collect(),
-            pool: ShardedPool::new(workers),
+            pool: PhasePool::new(workers),
             window_ticks,
             dt,
             now: SimTime::ZERO,
@@ -564,7 +564,7 @@ impl ShardedSimulation {
             // caught at the shard boundary: the others still finish.
             let crashed = self
                 .pool
-                .run_caught(&mut self.shards, |_, slot| {
+                .run_chunks(&mut self.shards, None, 1, |_, slot| {
                     let t0 = std::time::Instant::now();
                     slot.sim.run_until(target);
                     slot.wall_ns = t0.elapsed().as_nanos() as u64;
@@ -572,7 +572,7 @@ impl ShardedSimulation {
                 .err();
             if let Some(p) = crashed {
                 return Err(ShardCrash {
-                    shard: p.shard as u32,
+                    shard: p.unit as u32,
                     at: self.now,
                     tick: self.now.as_micros() / dt_us,
                     message: gdisim_ports::panic_message(p.payload.as_ref()),
@@ -952,7 +952,7 @@ impl gdisim_snap::Snap for ShardedSimulation {
         }
         Ok(ShardedSimulation {
             shards,
-            pool: ShardedPool::new(threads),
+            pool: PhasePool::new(threads),
             window_ticks: gdisim_snap::Snap::load(r)?,
             dt: gdisim_snap::Snap::load(r)?,
             now: gdisim_snap::Snap::load(r)?,

@@ -5,19 +5,34 @@
 //! agnostic to how each phase's per-agent work is spread over cores.
 //! [`Executor`] selects the strategy: serial (the fast default for small
 //! models and tests), classic Scatter-Gather, or H-Dispatch.
+//!
+//! The two pooled mechanisms of Ch. 4 are one [`PhasePool`] phase with
+//! different chunk lengths:
+//!
+//! * **Scatter-Gather** (§4.2.3, Table 4.1) makes one work item per
+//!   agent per signal. The per-item dispatch overhead (a shared-cursor
+//!   round trip and an indirect call for every agent) is why Table 4.1
+//!   shows no speedup: the work inside each item is too small to
+//!   amortize it (§4.3.4).
+//! * **H-Dispatch** (§4.3.5, Table 4.2) has persistent workers *pull*
+//!   sets of `agent_set` agents (64 "delivered the best results") from
+//!   the global queue until it is empty, amortizing queue traffic over
+//!   the whole set.
 
-use crate::hdispatch::HDispatchPool;
-use crate::scatter_gather::ScatterGatherPool;
+use crate::pool::{validate_indices, PhasePool};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Snapshot of a pooled executor's dispatch activity since creation.
 ///
-/// `items` counts what the pool actually pushed through its shared
-/// cursor: one per *agent* under Scatter-Gather's full phase, one per
-/// *index range* under its indexed phase, one per *agent set* under
-/// H-Dispatch. `items / phases` is therefore the mean dispatch batch
-/// count per phase — a value near the active-set size on the indexed
-/// path means range batching has regressed to per-agent dispatch.
+/// `items` counts the work items a phase is cut into: one per *agent*
+/// under Scatter-Gather's full phase, one per *index range* under its
+/// indexed phase, one per *agent set* under H-Dispatch — counted on the
+/// inline path too, so the count reflects the strategy's granularity,
+/// not which path executed it. `items / phases` is therefore the mean
+/// dispatch batch count per phase — a value near the active-set size on
+/// the indexed path means range batching has regressed to per-agent
+/// dispatch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecutorStats {
     /// Phase invocations dispatched.
@@ -26,30 +41,23 @@ pub struct ExecutorStats {
     pub items: u64,
 }
 
-/// Shared atomic counters behind [`ExecutorStats`]. Cloned pools (a
+/// Shared atomic counters behind [`ExecutorStats`]. Cloned executors (a
 /// branched simulation, or one executor handed to several runs) share
 /// one instance through an `Arc`, so stats aggregate per pool, not per
 /// clone.
 #[derive(Debug, Default)]
-pub(crate) struct DispatchCounters {
+struct DispatchCounters {
     phases: AtomicU64,
     items: AtomicU64,
 }
 
-impl DispatchCounters {
-    /// Accounts one phase dispatch of `items` work items.
-    pub(crate) fn note_phase(&self, items: u64) {
-        self.phases.fetch_add(1, Ordering::Relaxed);
-        self.items.fetch_add(items, Ordering::Relaxed);
-    }
-
-    /// Reads the counters.
-    pub(crate) fn snapshot(&self) -> ExecutorStats {
-        ExecutorStats {
-            phases: self.phases.load(Ordering::Relaxed),
-            items: self.items.load(Ordering::Relaxed),
-        }
-    }
+/// How a pooled executor cuts a phase into work items.
+#[derive(Debug, Clone, Copy)]
+enum Chunking {
+    /// Classic Scatter-Gather: one work item per agent (Table 4.1).
+    PerAgent,
+    /// H-Dispatch: agent sets of this many agents (Table 4.2).
+    AgentSet(usize),
 }
 
 /// How per-agent phase work is executed.
@@ -58,10 +66,19 @@ pub enum Executor {
     /// Single-threaded in-place iteration.
     #[default]
     Serial,
-    /// One work item per agent through a shared queue (Table 4.1).
-    ScatterGather(ScatterGatherPool),
-    /// Agent sets pulled from a global queue (Table 4.2).
-    HDispatch(HDispatchPool),
+    /// Phases cut into chunks pulled by persistent workers: classic
+    /// Scatter-Gather or H-Dispatch.
+    Pooled(Pooled),
+}
+
+/// A pooled executor: a [`PhasePool`], the mechanism's chunk policy
+/// and its dispatch counters, all shared by clones. Built by
+/// [`Executor::scatter_gather`] and [`Executor::hdispatch`].
+#[derive(Debug, Clone)]
+pub struct Pooled {
+    pool: Arc<PhasePool>,
+    chunking: Chunking,
+    stats: Arc<DispatchCounters>,
 }
 
 impl Executor {
@@ -71,21 +88,30 @@ impl Executor {
     }
 
     /// Classic Scatter-Gather over `threads` workers.
+    ///
+    /// # Panics
+    /// Panics if `threads == 0`.
     pub fn scatter_gather(threads: usize) -> Self {
-        Executor::ScatterGather(ScatterGatherPool::new(threads))
+        Executor::Pooled(Pooled::new(threads, Chunking::PerAgent))
     }
 
     /// H-Dispatch over `threads` workers with the given agent-set size.
+    ///
+    /// # Panics
+    /// Panics if `threads == 0` or `agent_set == 0`.
     pub fn hdispatch(threads: usize, agent_set: usize) -> Self {
-        Executor::HDispatch(HDispatchPool::new(threads, agent_set))
+        assert!(agent_set > 0, "agent set must be non-empty");
+        Executor::Pooled(Pooled::new(threads, Chunking::AgentSet(agent_set)))
     }
 
     /// A short name for reports ("serial", "scatter-gather", "h-dispatch").
     pub fn name(&self) -> &'static str {
         match self {
             Executor::Serial => "serial",
-            Executor::ScatterGather(_) => "scatter-gather",
-            Executor::HDispatch(_) => "h-dispatch",
+            Executor::Pooled(p) => match p.chunking {
+                Chunking::PerAgent => "scatter-gather",
+                Chunking::AgentSet(_) => "h-dispatch",
+            },
         }
     }
 
@@ -93,8 +119,7 @@ impl Executor {
     pub fn threads(&self) -> usize {
         match self {
             Executor::Serial => 1,
-            Executor::ScatterGather(p) => p.threads(),
-            Executor::HDispatch(p) => p.threads(),
+            Executor::Pooled(p) => p.pool.threads(),
         }
     }
 
@@ -103,8 +128,10 @@ impl Executor {
     pub fn stats(&self) -> Option<ExecutorStats> {
         match self {
             Executor::Serial => None,
-            Executor::ScatterGather(p) => Some(p.stats()),
-            Executor::HDispatch(p) => Some(p.stats()),
+            Executor::Pooled(p) => Some(ExecutorStats {
+                phases: p.stats.phases.load(Ordering::Relaxed),
+                items: p.stats.items.load(Ordering::Relaxed),
+            }),
         }
     }
 
@@ -122,8 +149,7 @@ impl Executor {
                     f(a);
                 }
             }
-            Executor::ScatterGather(pool) => pool.run_phase(agents, &f),
-            Executor::HDispatch(pool) => pool.run_phase(agents, &f),
+            Executor::Pooled(p) => p.run(agents, None, f),
         }
     }
 
@@ -147,29 +173,53 @@ impl Executor {
                     f(&mut agents[i as usize]);
                 }
             }
-            Executor::ScatterGather(pool) => pool.run_phase_indexed(agents, indices, &f),
-            Executor::HDispatch(pool) => pool.run_phase_indexed(agents, indices, &f),
+            Executor::Pooled(p) => p.run(agents, Some(indices), f),
         }
     }
 }
 
-/// Checks that `indices` is strictly ascending and within `len`. The
-/// indexed phase runners rely on this: strictly ascending implies every
-/// index is distinct, which is what makes handing out one `&mut` per
-/// selected agent across worker threads sound.
-///
-/// # Panics
-/// Panics (with the messages the engine's callers pin in tests) when the
-/// order or range contract is violated.
-pub(crate) fn validate_indices(indices: &[u32], len: usize) {
-    let mut prev: Option<u32> = None;
-    for &i in indices {
-        assert!(
-            prev.is_none_or(|p| p < i),
-            "active-set indices must be strictly ascending"
-        );
-        assert!((i as usize) < len, "active-set index out of range");
-        prev = Some(i);
+impl Pooled {
+    fn new(threads: usize, chunking: Chunking) -> Self {
+        Pooled {
+            pool: Arc::new(PhasePool::new(threads)),
+            chunking,
+            stats: Arc::default(),
+        }
+    }
+
+    /// Work-item length for a phase over every agent (`indexed: None`)
+    /// or over an index list of the given length.
+    ///
+    /// Scatter-Gather's indexed phase batches the index list into ranges
+    /// of `max(len / (threads · 4), 16)` indices: four waves per worker
+    /// leave the shared cursor slack to load-balance uneven ranges, and
+    /// the floor collapses tiny active sets to one or two items instead
+    /// of paying per-agent dispatch. Only its full-population phase
+    /// keeps the paper's literal per-agent granularity.
+    fn chunk(&self, indexed: Option<usize>) -> usize {
+        match (self.chunking, indexed) {
+            (Chunking::PerAgent, None) => 1,
+            (Chunking::PerAgent, Some(len)) => (len / (self.pool.threads() * 4)).max(16),
+            (Chunking::AgentSet(set), _) => set,
+        }
+    }
+
+    /// Counts and runs one phase, rethrowing a unit's panic after the
+    /// barrier.
+    fn run<A, F>(&self, agents: &mut [A], indices: Option<&[u32]>, f: F)
+    where
+        A: Send,
+        F: Fn(&mut A) + Sync,
+    {
+        let chunk = self.chunk(indices.map(<[u32]>::len));
+        let selected = indices.map_or(agents.len(), <[u32]>::len);
+        self.stats.phases.fetch_add(1, Ordering::Relaxed);
+        self.stats
+            .items
+            .fetch_add(selected.div_ceil(chunk) as u64, Ordering::Relaxed);
+        if let Err(p) = self.pool.run_chunks(agents, indices, chunk, |_, a| f(a)) {
+            std::panic::resume_unwind(p.payload);
+        }
     }
 }
 
@@ -282,6 +332,43 @@ mod tests {
         let clone = sg.clone();
         clone.run_phase(&mut agents, |a| *a += 1);
         assert_eq!(sg.stats().unwrap().phases, 3);
+    }
+
+    #[test]
+    fn indexed_phase_batches_ranges_not_agents() {
+        let sg = Executor::scatter_gather(4);
+        let mut agents: Vec<u64> = vec![0; 4096];
+        let indices: Vec<u32> = (0..4096).collect();
+        sg.run_phase_indexed(&mut agents, &indices, |a| *a += 1);
+        let s = sg.stats().unwrap();
+        assert_eq!(s.phases, 1);
+        // 4096 indices / (4 threads * 4) = 256 per range -> 16 items,
+        // not 4096.
+        assert_eq!(s.items, 16, "indexed dispatch regressed to per-agent");
+        assert!(agents.iter().all(|a| *a == 1));
+    }
+
+    #[test]
+    fn tiny_indexed_phase_is_a_single_inline_item() {
+        let sg = Executor::scatter_gather(4);
+        let mut agents: Vec<u64> = vec![0; 64];
+        sg.run_phase_indexed(&mut agents, &[1, 7, 40], |a| *a += 1);
+        let s = sg.stats().unwrap();
+        // 3 indices fit one minimum-length range: inline, one item.
+        assert_eq!((s.phases, s.items), (1, 1));
+        assert_eq!(agents.iter().sum::<u64>(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one thread")]
+    fn zero_threads_panics() {
+        Executor::scatter_gather(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "agent set must be non-empty")]
+    fn zero_agent_set_panics() {
+        Executor::hdispatch(1, 0);
     }
 
     #[test]

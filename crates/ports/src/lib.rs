@@ -1,41 +1,26 @@
-//! Port-based asynchronous messaging runtime (Ch. 4 of the paper).
+//! Parallel phase execution for the simulation engine (Ch. 4 of the
+//! paper).
 //!
 //! The original GDISim is built on Microsoft's Concurrency & Coordination
-//! Runtime: *active messages* carry the address of their handler, *ports*
-//! are the only entry points to agent state, an *arbiter* pairs message
-//! payloads with handlers into work items, and a *dispatcher* thread pool
-//! executes them. On top of the ports sit *coordination primitives*
-//! (single/multiple-item receivers, join, choice, interleave) from which
-//! the simulation engine's Scatter-Gather and H-Dispatch orchestration
-//! mechanisms are assembled.
+//! Runtime (ports, arbiters, a dispatcher thread pool and coordination
+//! primitives), on which it assembles two ways of spreading per-agent
+//! work over cores: classic Scatter-Gather (Table 4.1) and H-Dispatch
+//! (Table 4.2). Both come down to the same loop — persistent workers
+//! pulling work items from a shared cursor until a phase is done — and
+//! differ only in how many agents one work item carries.
 //!
-//! This crate reproduces that stack in Rust:
+//! This crate keeps just that loop:
 //!
-//! * [`dispatch::Dispatcher`] — a persistent worker-thread pool executing
-//!   boxed work items (the CCR dispatcher of Fig. 4-1);
-//! * [`port::Port`] — a typed message endpoint whose registered handler
-//!   runs on the dispatcher when a message is posted;
-//! * [`coordination`] — the five primitives of §4.2.3;
-//! * [`scatter_gather`] and [`hdispatch`] — the two agent-orchestration
-//!   mechanisms compared in Tables 4.1 and 4.2, exposed through the
-//!   engine-facing [`Executor`] enum.
+//! * [`PhasePool`] — parked workers running one phase at a time, with
+//!   [`PhasePool::run_chunks`] cutting a slice (or an index list into
+//!   it) into chunks of a given length;
+//! * [`Executor`] — the engine-facing strategy: serial, Scatter-Gather
+//!   (chunk 1) or H-Dispatch (chunk `agent_set`).
 
 #![warn(missing_docs)]
 
-pub mod coordination;
-pub mod dispatch;
 pub mod executor;
-pub mod hdispatch;
 pub mod pool;
-pub mod port;
-pub mod scatter_gather;
-pub mod sharded;
 
-pub use coordination::{Choice, Either, Interleave, JoinReceiver, MultipleItemReceiver};
-pub use dispatch::Dispatcher;
 pub use executor::{Executor, ExecutorStats};
-pub use hdispatch::HDispatchPool;
 pub use pool::{panic_message, PhasePool, UnitPanic};
-pub use port::Port;
-pub use scatter_gather::ScatterGatherPool;
-pub use sharded::{ShardPanic, ShardedPool};

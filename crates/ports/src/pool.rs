@@ -12,13 +12,19 @@
 //! the calling thread) pull unit indices from a shared atomic cursor —
 //! the paper's "Pull mechanism that makes worker threads request work
 //! from a global queue" — and the call returns when every unit is done.
+//! [`PhasePool::run_chunks`] cuts a slice (or an index list into it)
+//! into such units of `chunk` items each: chunk 1 is Scatter-Gather's
+//! one work item per agent (Table 4.1), chunk `agent_set` is an
+//! H-Dispatch agent set (Table 4.2), and the sharded engine runs one
+//! whole shard per unit.
 //!
 //! # Safety
 //! The phase closure is type-erased to a raw pointer so parked workers
 //! can call it without a `'static` bound. This is sound because
 //! [`PhasePool::run`] does not return until every worker has finished
 //! the phase (the same blocking-scope argument `std::thread::scope`
-//! relies on).
+//! relies on). [`PhasePool::run_chunks`] hands out `&mut` items through
+//! a base pointer; its own doc states why no two are ever aliased.
 
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -52,13 +58,25 @@ struct Inner {
 pub struct PhasePool {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
+    /// Held by the caller for a whole parallel phase: the workers serve
+    /// one phase at a time, so concurrent callers take turns.
+    phase: Mutex<()>,
+}
+
+impl std::fmt::Debug for PhasePool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PhasePool")
+            .field("threads", &self.threads())
+            .finish()
+    }
 }
 
 /// A work unit's escaped panic, caught by the pool so the phase barrier
 /// still completes: the unit index plus the original panic payload.
 pub struct UnitPanic {
-    /// Index of the unit whose closure panicked (the first one observed;
-    /// later panics in the same phase are dropped).
+    /// Index of the unit whose closure panicked (of the item, under
+    /// [`PhasePool::run_chunks`]). Only the first panic observed in a
+    /// phase is kept.
     pub unit: usize,
     /// The payload `panic!` carried, for rethrow or display.
     pub payload: Box<dyn std::any::Any + Send + 'static>,
@@ -106,7 +124,11 @@ impl PhasePool {
                     .expect("spawn phase worker")
             })
             .collect();
-        PhasePool { inner, workers }
+        PhasePool {
+            inner,
+            workers,
+            phase: Mutex::new(()),
+        }
     }
 
     /// Total execution streams (workers + caller).
@@ -133,41 +155,82 @@ impl PhasePool {
     /// caller can supervise — report the crash, checkpoint survivors,
     /// exit cleanly. Only the first observed panic is kept.
     pub fn run_caught(&self, units: usize, f: &(dyn Fn(usize) + Sync)) -> Result<(), UnitPanic> {
-        let first: Mutex<Option<UnitPanic>> = Mutex::new(None);
-        let guarded = |i: usize| {
-            if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i))) {
-                let mut slot = first.lock();
-                if slot.is_none() {
-                    *slot = Some(UnitPanic { unit: i, payload });
-                }
-            }
-        };
-        self.run_protocol(units, &guarded);
-        match first.into_inner() {
-            Some(p) => Err(p),
-            None => Ok(()),
+        let first = Mutex::new(None);
+        self.run_protocol(units, &|u| catch_first(&first, u, || f(u)));
+        first.into_inner().map_or(Ok(()), Err)
+    }
+
+    /// Runs `f(i, &mut items[i])` once for every selected item: every
+    /// `i < items.len()`, or every `i` in `indices`, which must be
+    /// strictly ascending and in range. The selection is cut into work
+    /// units of `chunk` consecutive selected items (the last may be
+    /// shorter), pulled from the shared cursor like any other phase;
+    /// one unit, or a one-thread pool, runs inline on the caller.
+    ///
+    /// A panicking item is caught like a [`Self::run_caught`] unit,
+    /// reported with its item index `i`: every other item still runs
+    /// and the pool stays usable.
+    ///
+    /// # Panics
+    /// Panics on the caller, before any item runs, if `chunk == 0` or
+    /// `indices` breaks its order or range contract.
+    pub fn run_chunks<T, F>(
+        &self,
+        items: &mut [T],
+        indices: Option<&[u32]>,
+        chunk: usize,
+        f: F,
+    ) -> Result<(), UnitPanic>
+    where
+        T: Send,
+        F: Fn(usize, &mut T) + Sync,
+    {
+        assert!(chunk > 0, "chunk length must be positive");
+        if let Some(indices) = indices {
+            validate_indices(indices, items.len());
         }
+        let selected = indices.map_or(items.len(), <[u32]>::len);
+        let base = items.as_mut_ptr() as usize;
+        let first = Mutex::new(None);
+        self.run_protocol(selected.div_ceil(chunk), &|u| {
+            let start = u * chunk;
+            for k in start..(start + chunk).min(selected) {
+                let i = indices.map_or(k, |ix| ix[k] as usize);
+                // SAFETY: `i < items.len()` (the full range, or checked
+                // by `validate_indices`), and each `i` is selected once:
+                // units are disjoint ranges of the selection, the cursor
+                // hands out every unit exactly once, and validated
+                // indices are strictly ascending, hence distinct. So no
+                // two calls alias one item, and every such `&mut` ends
+                // before `run_protocol` returns, within our borrow of
+                // `items`.
+                let item = unsafe { &mut *(base as *mut T).add(i) };
+                catch_first(&first, i, || f(i, item));
+            }
+        });
+        first.into_inner().map_or(Ok(()), Err)
     }
 
     /// The raw phase protocol: publish, pull, barrier. `f` must not
-    /// panic (the public entry points wrap it in a catch).
-    fn run_protocol(&self, units: usize, f: &(dyn Fn(usize) + Sync)) {
-        if units == 0 {
-            return;
-        }
+    /// panic (the public entry points wrap it in a catch). Generic so
+    /// the inline path calls `f` directly; only the parallel path
+    /// erases it for the workers.
+    fn run_protocol<F: Fn(usize) + Sync>(&self, units: usize, f: &F) {
         // A single unit cannot be parallelized: run it inline instead of
         // waking every parked worker just to watch the caller take it.
-        if self.inner.n_workers == 0 || units == 1 {
+        if self.inner.n_workers == 0 || units <= 1 {
             for i in 0..units {
                 f(i);
             }
             return;
         }
+        let _turn = self.phase.lock();
         // Publish the phase.
         {
             let mut st = self.inner.state.lock();
             // SAFETY: see module docs — `f` outlives the phase because we
             // block below until every worker reports done.
+            let f: &(dyn Fn(usize) + Sync) = f;
             let erased: TaskPtr = TaskPtr(unsafe {
                 std::mem::transmute::<&(dyn Fn(usize) + Sync), *const (dyn Fn(usize) + Sync)>(f)
             });
@@ -202,6 +265,34 @@ impl Drop for PhasePool {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
+    }
+}
+
+/// Runs `body`, keeping the phase's first escaped panic in `first`
+/// tagged with `unit`.
+fn catch_first(first: &Mutex<Option<UnitPanic>>, unit: usize, body: impl FnOnce()) {
+    if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
+        first.lock().get_or_insert(UnitPanic { unit, payload });
+    }
+}
+
+/// Checks that `indices` is strictly ascending and within `len`.
+/// [`PhasePool::run_chunks`] relies on this: strictly ascending implies
+/// every index is distinct, which is what makes handing out one `&mut`
+/// per selected item across worker threads sound.
+///
+/// # Panics
+/// Panics (with the messages the engine's callers pin in tests) when the
+/// order or range contract is violated.
+pub(crate) fn validate_indices(indices: &[u32], len: usize) {
+    let mut prev: Option<u32> = None;
+    for &i in indices {
+        assert!(
+            prev.is_none_or(|p| p < i),
+            "active-set indices must be strictly ascending"
+        );
+        assert!((i as usize) < len, "active-set index out of range");
+        prev = Some(i);
     }
 }
 
@@ -334,20 +425,74 @@ mod tests {
     fn mutating_disjoint_slices_is_sound() {
         let pool = PhasePool::new(4);
         let mut data = vec![0u64; 4096];
-        let base = data.as_mut_ptr() as usize;
-        let len = data.len();
-        let chunk = 64;
-        let units = len.div_ceil(chunk);
-        pool.run(units, &move |u| {
-            let start = u * chunk;
-            let end = (start + chunk).min(len);
-            for i in start..end {
-                // SAFETY: units own disjoint ranges.
-                unsafe {
-                    *(base as *mut u64).add(i) = i as u64;
+        assert!(pool
+            .run_chunks(&mut data, None, 64, |i, v| *v = i as u64)
+            .is_ok());
+        assert!(data.iter().enumerate().all(|(i, v)| *v == i as u64));
+    }
+
+    #[test]
+    fn crashed_shard_reports_while_survivors_reach_the_barrier() {
+        let pool = PhasePool::new(4);
+        let mut shards: Vec<u64> = vec![0; 8];
+        let err = pool
+            .run_chunks(&mut shards, None, 1, |i, s| {
+                if i == 5 {
+                    panic!("shard 5 died");
                 }
+                *s = 1;
+            })
+            .expect_err("panic must surface");
+        assert_eq!(err.unit, 5);
+        assert_eq!(panic_message(err.payload.as_ref()), "shard 5 died");
+        // Every surviving shard completed its window.
+        for (i, s) in shards.iter().enumerate() {
+            if i != 5 {
+                assert_eq!(*s, 1, "shard {i} never reached the barrier");
+            }
+        }
+        // The pool stays usable after the crash.
+        assert!(pool
+            .run_chunks(&mut shards, None, 1, |_, s| *s += 10)
+            .is_ok());
+        assert!(shards.iter().all(|s| *s >= 10));
+    }
+
+    #[test]
+    fn results_are_independent_of_worker_count() {
+        let work = |threads: usize| {
+            let pool = PhasePool::new(threads);
+            let mut shards: Vec<u64> = (0..16).map(|i| i * 7 + 3).collect();
+            for _ in 0..20 {
+                // An LCG step per window: order within the window must
+                // not matter, only that each shard advanced.
+                let stepped = pool.run_chunks(&mut shards, None, 1, |_, s| {
+                    *s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
+                });
+                assert!(stepped.is_ok());
+            }
+            shards
+        };
+        assert_eq!(work(1), work(4));
+    }
+
+    #[test]
+    fn concurrent_callers_take_turns() {
+        // Clones of one executor share its pool. Two callers publishing
+        // phases at once used to let a worker run one caller's closure
+        // on the other's cursor: items ran twice or never.
+        let pool = PhasePool::new(3);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..300 {
+                        let mut items = vec![0u32; 256];
+                        let ran = pool.run_chunks(&mut items, None, 1, |_, v| *v += 1);
+                        assert!(ran.is_ok());
+                        assert!(items.iter().all(|&v| v == 1), "an item ran twice or never");
+                    }
+                });
             }
         });
-        assert!(data.iter().enumerate().all(|(i, v)| *v == i as u64));
     }
 }

@@ -268,15 +268,16 @@ impl<'a> Parser<'a> {
                             let cp = self.parse_hex4()?;
                             // Surrogate pair handling for non-BMP chars.
                             let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.eat_keyword("\\u") {
-                                    let lo = self.parse_hex4()?;
-                                    let combined =
-                                        0x10000 + ((cp - 0xD800) << 10) + (lo.wrapping_sub(0xDC00));
-                                    char::from_u32(combined)
-                                        .ok_or_else(|| self.err("invalid surrogate pair"))?
-                                } else {
+                                if !self.eat_keyword("\\u") {
                                     return Err(self.err("lone high surrogate"));
                                 }
+                                let lo = self.parse_hex4()?;
+                                if !(0xDC00..0xE000).contains(&lo) {
+                                    return Err(self.err("invalid surrogate pair"));
+                                }
+                                let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                                char::from_u32(combined)
+                                    .ok_or_else(|| self.err("invalid surrogate pair"))?
                             } else {
                                 char::from_u32(cp).ok_or_else(|| self.err("invalid \\u escape"))?
                             };
@@ -314,6 +315,10 @@ impl<'a> Parser<'a> {
             .bytes
             .get(self.pos..self.pos + 4)
             .ok_or_else(|| self.err("truncated \\u escape"))?;
+        // `from_str_radix` alone would also take a leading `+`.
+        if !chunk.iter().all(u8::is_ascii_hexdigit) {
+            return Err(self.err("invalid \\u escape"));
+        }
         let s = std::str::from_utf8(chunk).map_err(|_| self.err("invalid \\u escape"))?;
         let cp = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid \\u escape"))?;
         self.pos += 4;
@@ -459,6 +464,83 @@ mod tests {
         assert_eq!(from_str::<String>(r#""é""#).unwrap(), "é");
         assert_eq!(from_str::<String>(r#""😀""#).unwrap(), "😀");
         assert_eq!(from_str::<String>("\"π\"").unwrap(), "π");
+    }
+
+    #[test]
+    fn surrogate_pairs_need_a_low_half() {
+        assert_eq!(from_str::<String>(r#""\uD83D\uDE00""#).unwrap(), "😀");
+        // A high surrogate followed by a BMP escape outside DC00–DFFF
+        // used to decode silently to U+1F800.
+        let err = parse_value(r#""\uD83D\uE000""#).unwrap_err();
+        assert!(err.to_string().contains("invalid surrogate pair"), "{err}");
+        assert!(parse_value(r#""\uD83D\u0041""#).is_err());
+        assert!(parse_value(r#""\uD83Dx""#).is_err());
+        assert!(parse_value(r#""\uDE00""#).is_err());
+    }
+
+    #[test]
+    fn hex_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(from_str::<String>(r#""\u0041""#).unwrap(), "A");
+        // `u32::from_str_radix` accepts a sign, so this used to read "A".
+        let err = parse_value(r#""\u+041""#).unwrap_err();
+        assert!(err.to_string().contains("invalid \\u escape"), "{err}");
+        assert!(parse_value(r#""\u-041""#).is_err());
+        assert!(parse_value(r#""\u 041""#).is_err());
+        assert!(parse_value(r#""\u004""#).is_err());
+    }
+
+    /// A random value tree for the round-trip test: nested arrays and
+    /// objects of escaped and non-BMP strings, integers and finite
+    /// floats. Positive integers are always `U64`, since that is how
+    /// the parser reads them back.
+    fn random_value(state: &mut u64, depth: usize) -> Value {
+        let mut next = || {
+            *state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            *state >> 33
+        };
+        const CHARS: [&str; 12] = [
+            "a", "Z", "\"", "\\", "/", "\n", "\t", "\u{1}", "\u{1f}", "é", "€", "😀",
+        ];
+        let kind = if depth == 0 { next() % 6 } else { next() % 8 };
+        match kind {
+            0 => Value::Null,
+            1 => Value::Bool(next() % 2 == 0),
+            2 => Value::U64(next() << 31 | next()),
+            3 => Value::I64(-1 - (next() << 20 | next()) as i64),
+            4 => {
+                let f = (next() as f64 - 2e9) * 10f64.powi(next() as i32 % 40 - 20);
+                Value::F64(f)
+            }
+            5 => Value::Str(
+                (0..next() % 8)
+                    .map(|_| CHARS[next() as usize % CHARS.len()])
+                    .collect(),
+            ),
+            6 => Value::Array(
+                (0..next() % 5)
+                    .map(|_| random_value(state, depth - 1))
+                    .collect(),
+            ),
+            _ => Value::Object(
+                (0..next() % 5)
+                    .map(|k| (format!("k{k}😀\""), random_value(state, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    #[test]
+    fn serialize_then_parse_is_the_identity() {
+        let mut state = 42u64;
+        for _ in 0..500 {
+            let v = random_value(&mut state, 4);
+            let compact = to_string(&v).unwrap();
+            assert_eq!(parse_value(&compact).unwrap(), v, "{compact}");
+            let pretty = to_string_pretty(&v).unwrap();
+            assert_eq!(parse_value(&pretty).unwrap(), v, "{pretty}");
+        }
     }
 
     #[test]
